@@ -2,8 +2,8 @@
 
 The package trains small prompt stacks against a frozen transformer encoder
 on synthetic patch data, compares prompt-insertion strategies, and reports
-base/novel accuracy tables. Heavy inner loops run through numba-compiled
-kernels with a pure numpy fallback; see :mod:`promptlab.kernels`.
+base/novel accuracy tables. Everything is float64 numpy; the hot kernels
+live in :mod:`promptlab.kernels`.
 """
 
 from .errors import (

@@ -3,8 +3,8 @@
 Subcommands: train, eval, grid, grad-check, export-embeddings, make-data,
 params. All randomness is governed by explicit seeds, so repeating an
 invocation with the same arguments produces byte-identical output files.
-Precedence for training options: built-in defaults < --config file <
-PROMPTLAB_* environment variables < command-line flags.
+Training options are layered by :func:`promptlab.trainer.load_config`, with
+command-line flags as its overrides.
 """
 
 import argparse
@@ -31,10 +31,9 @@ from .heads import (
 )
 from .trainer import (
     TrainConfig,
-    build_config,
+    _forward_features,
     evaluate_task,
-    merge_env,
-    parse_config_file,
+    load_config,
     parse_depth_range,
     prototype_bank,
     run_grid,
@@ -103,15 +102,11 @@ def _add_world_flags(parser):
 
 
 def _build_train_config(args) -> TrainConfig:
-    mapping = {}
-    if args.config and args.config != "default":
-        mapping = parse_config_file(args.config)
-    merged = merge_env(mapping)
-    for dest, key in _FLAG_KEYS:
-        value = getattr(args, dest, None)
-        if value is not None:
-            merged[key] = str(value)
-    return build_config(merged)
+    return load_config(
+        args.config if args.config not in (None, "default") else None,
+        overrides={key: getattr(args, dest) for dest, key in _FLAG_KEYS
+                   if getattr(args, dest, None) is not None},
+    )
 
 
 def _task_spec(args) -> SyntheticTaskSpec:
@@ -199,27 +194,26 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def _checkpointed_setup(args):
+    """(config, encoder, seed, dataset, prompt stack) for eval-style commands.
+
+    The stack is seeded like the one `train` would build for `seed`, then
+    overwritten from --checkpoint when one is given.
+    """
     config = _build_train_config(args)
     encoder = _encoder(args)
-    spec = _task_spec(args)
     seed = args.seed if args.seed is not None else config.seeds[0]
-    store = generate_dataset(spec, seed)
-    bank = _bank_factory(args)(encoder, store)
-    task = sample_k_shot(store, config.shots, seed, mode=config.mode)
-    if config.strategy == "none":
-        stack = PromptStack.none()
-    else:
-        stack = PromptStack.create(
-            config.strategy,
-            config.prompt_length,
-            encoder.config.width,
-            active_layers=config.active_layers(),
-            alpha=config.alpha if config.strategy == "progressive" else None,
-            seed=seed,
-        )
+    store = generate_dataset(_task_spec(args), seed)
+    stack = config.prompt_stack(encoder.config.width, seed)
     if args.checkpoint:
         stack.load_state_dict(load_tensors(args.checkpoint))
+    return config, encoder, seed, store, stack
+
+
+def cmd_eval(args) -> int:
+    config, encoder, seed, store, stack = _checkpointed_setup(args)
+    bank = _bank_factory(args)(encoder, store)
+    task = sample_k_shot(store, config.shots, seed, mode=config.mode)
     state = EncoderState(encoder.config, encoder.weights, stack)
     metrics = evaluate_task(state, bank, task)
     _print_metrics(f"seed {seed}: ", metrics)
@@ -343,30 +337,13 @@ def cmd_grad_check(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
-    config = _build_train_config(args)
-    encoder = _encoder(args)
-    spec = _task_spec(args)
-    seed = args.seed if args.seed is not None else config.seeds[0]
-    store = generate_dataset(spec, seed)
-    if config.strategy == "none":
-        stack = PromptStack.none()
-    else:
-        stack = PromptStack.create(
-            config.strategy,
-            config.prompt_length,
-            encoder.config.width,
-            active_layers=config.active_layers(),
-            alpha=config.alpha if config.strategy == "progressive" else None,
-            seed=seed,
-        )
-    if args.checkpoint:
-        stack.load_state_dict(load_tensors(args.checkpoint))
-    variants = {
-        "frozen": EncoderState(encoder.config, encoder.weights, PromptStack.none()),
-        "prompted": EncoderState(encoder.config, encoder.weights, stack),
+    _, encoder, _, store, stack = _checkpointed_setup(args)
+    images = store.samples[:args.limit]
+    features = {
+        "frozen": _forward_features(encoder, images, stack=PromptStack.none()),
+        "prompted": _forward_features(encoder, images, stack=stack),
     }
-    limit = min(args.limit, len(store.samples))
-    count = export_embeddings(variants, store.samples[:limit], store.labels[:limit], args.out)
+    count = export_embeddings(features, store.labels[:args.limit], args.out)
     print(f"wrote {count} rows to {args.out}")
     return 0
 
@@ -381,19 +358,9 @@ def cmd_make_data(args) -> int:
 
 
 def cmd_params(args) -> int:
-    if args.strategy == "none":
-        print(0)
-        return 0
-    first, last = parse_depth_range(args.layers)
-    layers = tuple(range(first - 1, last))
-    stack = PromptStack.create(
-        args.strategy,
-        args.m,
-        args.d,
-        active_layers=layers,
-        alpha=0.1 if args.strategy == "progressive" else None,
-        seed=0,
-    )
+    config = TrainConfig(strategy=args.strategy, prompt_length=args.m,
+                         depth_range=parse_depth_range(args.layers))
+    stack = config.prompt_stack(args.d, seed=0)
     print(sum(tensor.data.size for _, tensor in stack.parameters()))
     return 0
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-from .errors import ConfigError, DimensionError, InvariantError
+from .errors import CheckpointError, ConfigError, DimensionError, InvariantError
 
 STRATEGIES = ("none", "shallow", "deep", "progressive")
 
@@ -155,6 +155,13 @@ class PromptStack:
         return {name: t.data.copy() for name, t in self.parameters()}
 
     def load_state_dict(self, arrays: Dict[str, np.ndarray]) -> None:
+        """Copy saved prompt values in; the keys must match this stack's exactly."""
+        unexpected = sorted(set(arrays) - {name for name, _ in self.parameters()})
+        if unexpected:
+            raise CheckpointError(
+                f"checkpoint has prompt tensors this {self.strategy!r} stack does not own: "
+                f"{unexpected}"
+            )
         for name, tensor in self.parameters():
             if name not in arrays:
                 raise ConfigError(f"missing prompt tensor {name!r} in checkpoint")

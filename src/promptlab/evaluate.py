@@ -276,35 +276,30 @@ def parse_table(text: str, format: str = "csv") -> List[Dict[str, object]]:
     return out
 
 
-def export_embeddings(variants: Dict[str, object], images, labels, path) -> int:
-    """Write one TSV row per (sample, variant): tag, label, feature values.
+def export_embeddings(features: Dict[str, np.ndarray], labels, path) -> int:
+    """Write one TSV row per (variant, sample): tag, label, feature values.
 
-    `variants` maps a tag to an encoder state whose current prompt stack
-    defines the variant (use a promptless stack for the frozen baseline).
-    All variants must share the output dimension. Returns the row count.
+    `features` maps a variant tag to its (samples, dim) feature matrix, one
+    row per entry of `labels`; all variants must share the dim. Variants
+    are written in tag order. Returns the row count.
     """
-    if not variants:
-        raise EvaluationError("no encoder variants to export")
-    images = np.asarray(images, dtype=float)
+    if not features:
+        raise EvaluationError("no feature variants to export")
     labels = np.asarray(labels)
-    if len(images) != len(labels):
-        raise DimensionError(f"{len(images)} images vs {len(labels)} labels")
-    dims = {tag: state.config.output_dim for tag, state in variants.items()}
-    if len(set(dims.values())) > 1:
-        raise DimensionError(f"variants disagree on output dim: {dims}")
-    dim = next(iter(dims.values()))
-    header = ["variant", "label"] + [f"f{i}" for i in range(dim)]
-    count = 0
+    shapes = {tag: np.shape(feats) for tag, feats in features.items()}
+    for tag, shape in shapes.items():
+        if len(shape) != 2 or shape[0] != len(labels):
+            raise DimensionError(
+                f"variant {tag!r} has features shaped {shape} for {len(labels)} labels"
+            )
+    dims = {shape[1] for shape in shapes.values()}
+    if len(dims) > 1:
+        raise DimensionError(f"variants disagree on feature dim: {shapes}")
+    header = ["variant", "label"] + [f"f{i}" for i in range(dims.pop())]
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write("\t".join(header) + "\n")
-        for tag in sorted(variants):
-            state = variants[tag]
-            for start in range(0, len(images), 256):
-                chunk = images[start:start + 256]
-                feats, _ = state.forward(chunk)
-                block = np.atleast_2d(feats.data)
-                for row, label in zip(block, labels[start:start + 256]):
-                    cells = [tag, str(int(label))] + [repr(float(v)) for v in row]
-                    fh.write("\t".join(cells) + "\n")
-                    count += 1
-    return count
+        for tag in sorted(features):
+            for row, label in zip(features[tag], labels):
+                cells = [tag, str(int(label))] + [repr(float(v)) for v in row]
+                fh.write("\t".join(cells) + "\n")
+    return len(features) * len(labels)

@@ -1,51 +1,36 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels, in numpy.
 
-The active backend is chosen once at import from the ``PROMPTLAB_BACKEND``
-environment variable ("numba" or "numpy"; default: numba when importable)
-and can be switched at runtime with :func:`use_backend`. Both backends
-compute the same formulas; they may differ in the last few ulps because of
-summation order.
-
-All kernels operate on float64 C-contiguous arrays. Row-wise kernels treat
-the last axis as the reduction axis and everything before it as rows.
+All kernels operate on float64 arrays. Row-wise kernels treat the last
+axis as the reduction axis and everything before it as rows.
 """
-
-import os
 
 import numpy as np
 from scipy.special import erf as _erf
-
-from .errors import ConfigError
-
-_ENV_VAR = "PROMPTLAB_BACKEND"
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
 
 
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-# ---------------------------------------------------------------------------
+def active_backend():
+    """Name of the implementation serving kernel calls; benchmark runs record it."""
+    return "numpy"
 
-def _np_softmax_fwd(x):
+
+def softmax_lastaxis(x):
+    """Row-stochastic softmax along the last axis, computed max-subtracted."""
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _np_softmax_bwd(y, g):
+def softmax_lastaxis_grad(y, g):
+    """Input gradient of the last-axis softmax given its output y."""
     dot = (g * y).sum(axis=-1, keepdims=True)
     return y * (g - dot)
 
 
-def _np_layernorm_fwd(x, gamma, beta, eps):
+def layernorm_lastaxis(x, gamma, beta, eps):
+    """Layer norm over the last axis; returns (y, mean, rstd) for backward."""
     mean = x.mean(axis=-1, keepdims=True)
     var = ((x - mean) ** 2).mean(axis=-1, keepdims=True)
     rstd = 1.0 / np.sqrt(var + eps)
@@ -53,7 +38,8 @@ def _np_layernorm_fwd(x, gamma, beta, eps):
     return xhat * gamma + beta, mean[..., 0], rstd[..., 0]
 
 
-def _np_layernorm_bwd(x, gamma, mean, rstd, g):
+def layernorm_lastaxis_grad(x, gamma, mean, rstd, g):
+    """Gradients (gx, ggamma, gbeta) of the last-axis layer norm."""
     xhat = (x - mean[..., None]) * rstd[..., None]
     h = g * gamma
     h_mean = h.mean(axis=-1, keepdims=True)
@@ -65,253 +51,13 @@ def _np_layernorm_bwd(x, gamma, mean, rstd, g):
     return gx, ggamma, gbeta
 
 
-def _np_gelu_fwd(x):
-    return 0.5 * x * (1.0 + _erf(x * _INV_SQRT2))
-
-
-def _np_gelu_bwd(x, g):
-    cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
-    pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-    return g * (cdf + x * pdf)
-
-
-_NUMPY_IMPLS = {
-    "softmax_fwd": _np_softmax_fwd,
-    "softmax_bwd": _np_softmax_bwd,
-    "layernorm_fwd": _np_layernorm_fwd,
-    "layernorm_bwd": _np_layernorm_bwd,
-    "gelu_fwd": _np_gelu_fwd,
-    "gelu_bwd": _np_gelu_bwd,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (compiled lazily, cached on disk)
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-    import math
-
-    @njit(cache=True)
-    def _nb_softmax2d_fwd(x):
-        rows, cols = x.shape
-        y = np.empty_like(x)
-        for r in range(rows):
-            m = x[r, 0]
-            for c in range(1, cols):
-                if x[r, c] > m:
-                    m = x[r, c]
-            total = 0.0
-            for c in range(cols):
-                v = math.exp(x[r, c] - m)
-                y[r, c] = v
-                total += v
-            inv = 1.0 / total
-            for c in range(cols):
-                y[r, c] *= inv
-        return y
-
-    @njit(cache=True)
-    def _nb_softmax2d_bwd(y, g):
-        rows, cols = y.shape
-        gx = np.empty_like(y)
-        for r in range(rows):
-            dot = 0.0
-            for c in range(cols):
-                dot += g[r, c] * y[r, c]
-            for c in range(cols):
-                gx[r, c] = y[r, c] * (g[r, c] - dot)
-        return gx
-
-    @njit(cache=True)
-    def _nb_layernorm2d_fwd(x, gamma, beta, eps):
-        rows, cols = x.shape
-        y = np.empty_like(x)
-        mean = np.empty(rows)
-        rstd = np.empty(rows)
-        for r in range(rows):
-            m = 0.0
-            for c in range(cols):
-                m += x[r, c]
-            m /= cols
-            v = 0.0
-            for c in range(cols):
-                d = x[r, c] - m
-                v += d * d
-            v /= cols
-            rs = 1.0 / math.sqrt(v + eps)
-            mean[r] = m
-            rstd[r] = rs
-            for c in range(cols):
-                y[r, c] = (x[r, c] - m) * rs * gamma[c] + beta[c]
-        return y, mean, rstd
-
-    @njit(cache=True)
-    def _nb_layernorm2d_bwd(x, gamma, mean, rstd, g):
-        rows, cols = x.shape
-        gx = np.empty_like(x)
-        ggamma = np.zeros(cols)
-        gbeta = np.zeros(cols)
-        for r in range(rows):
-            m = mean[r]
-            rs = rstd[r]
-            h_mean = 0.0
-            hx_mean = 0.0
-            for c in range(cols):
-                xhat = (x[r, c] - m) * rs
-                h = g[r, c] * gamma[c]
-                h_mean += h
-                hx_mean += h * xhat
-                ggamma[c] += g[r, c] * xhat
-                gbeta[c] += g[r, c]
-            h_mean /= cols
-            hx_mean /= cols
-            for c in range(cols):
-                xhat = (x[r, c] - m) * rs
-                gx[r, c] = rs * (g[r, c] * gamma[c] - h_mean - xhat * hx_mean)
-        return gx, ggamma, gbeta
-
-    @njit(cache=True)
-    def _nb_gelu1d_fwd(x):
-        out = np.empty_like(x)
-        for i in range(x.size):
-            v = x[i]
-            out[i] = 0.5 * v * (1.0 + math.erf(v * _INV_SQRT2))
-        return out
-
-    @njit(cache=True)
-    def _nb_gelu1d_bwd(x, g):
-        out = np.empty_like(x)
-        for i in range(x.size):
-            v = x[i]
-            cdf = 0.5 * (1.0 + math.erf(v * _INV_SQRT2))
-            pdf = _INV_SQRT2PI * math.exp(-0.5 * v * v)
-            out[i] = g[i] * (cdf + v * pdf)
-        return out
-
-    def _as2d(x):
-        return np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
-
-    def _nb_softmax_fwd(x):
-        return _nb_softmax2d_fwd(_as2d(x)).reshape(x.shape)
-
-    def _nb_softmax_bwd(y, g):
-        return _nb_softmax2d_bwd(_as2d(y), _as2d(g)).reshape(y.shape)
-
-    def _nb_layernorm_fwd(x, gamma, beta, eps):
-        y, mean, rstd = _nb_layernorm2d_fwd(_as2d(x), gamma, beta, eps)
-        rows_shape = x.shape[:-1]
-        return y.reshape(x.shape), mean.reshape(rows_shape), rstd.reshape(rows_shape)
-
-    def _nb_layernorm_bwd(x, gamma, mean, rstd, g):
-        gx, ggamma, gbeta = _nb_layernorm2d_bwd(
-            _as2d(x), gamma, mean.ravel(), rstd.ravel(), _as2d(g)
-        )
-        return gx.reshape(x.shape), ggamma, gbeta
-
-    def _nb_gelu_fwd_nd(x):
-        flat = np.ascontiguousarray(x).reshape(-1)
-        return _nb_gelu1d_fwd(flat).reshape(x.shape)
-
-    def _nb_gelu_bwd_nd(x, g):
-        fx = np.ascontiguousarray(x).reshape(-1)
-        fg = np.ascontiguousarray(g).reshape(-1)
-        return _nb_gelu1d_bwd(fx, fg).reshape(x.shape)
-
-    _NUMBA_IMPLS = {
-        "softmax_fwd": _nb_softmax_fwd,
-        "softmax_bwd": _nb_softmax_bwd,
-        "layernorm_fwd": _nb_layernorm_fwd,
-        "layernorm_bwd": _nb_layernorm_bwd,
-        "gelu_fwd": _nb_gelu_fwd_nd,
-        "gelu_bwd": _nb_gelu_bwd_nd,
-    }
-
-
-def available_backends():
-    backends = ["numpy"]
-    if HAS_NUMBA:
-        backends.append("numba")
-    return backends
-
-
-def _resolve_default():
-    requested = os.environ.get(_ENV_VAR)
-    if requested is None:
-        return "numba" if HAS_NUMBA else "numpy"
-    requested = requested.strip().lower()
-    if requested not in ("numba", "numpy"):
-        raise ConfigError(
-            f"{_ENV_VAR} must be 'numba' or 'numpy', got {requested!r}"
-        )
-    if requested == "numba" and not HAS_NUMBA:
-        raise ConfigError(f"{_ENV_VAR}=numba requested but numba is not importable")
-    return requested
-
-
-_active_backend = _resolve_default()
-
-
-def active_backend():
-    """Name of the backend currently serving kernel calls."""
-    return _active_backend
-
-
-def use_backend(name):
-    """Switch the kernel backend at runtime ("numba" or "numpy")."""
-    global _active_backend
-    if name not in available_backends():
-        raise ConfigError(
-            f"unknown backend {name!r}; available: {available_backends()}"
-        )
-    _active_backend = name
-
-
-def _impl(name):
-    if _active_backend == "numba":
-        return _NUMBA_IMPLS[name]
-    return _NUMPY_IMPLS[name]
-
-
-def softmax_lastaxis(x):
-    """Row-stochastic softmax along the last axis, computed max-subtracted."""
-    return _impl("softmax_fwd")(x)
-
-
-def softmax_lastaxis_grad(y, g):
-    """Input gradient of the last-axis softmax given its output y."""
-    return _impl("softmax_bwd")(y, g)
-
-
-def layernorm_lastaxis(x, gamma, beta, eps):
-    """Layer norm over the last axis; returns (y, mean, rstd) for backward."""
-    return _impl("layernorm_fwd")(x, gamma, beta, eps)
-
-
-def layernorm_lastaxis_grad(x, gamma, mean, rstd, g):
-    """Gradients (gx, ggamma, gbeta) of the last-axis layer norm."""
-    return _impl("layernorm_bwd")(x, gamma, mean, rstd, g)
-
-
 def gelu(x):
     """Exact (erf-based) GELU."""
-    return _impl("gelu_fwd")(x)
+    return 0.5 * x * (1.0 + _erf(x * _INV_SQRT2))
 
 
 def gelu_grad(x, g):
     """Input gradient of the exact GELU."""
-    return _impl("gelu_bwd")(x, g)
-
-
-def warmup():
-    """Trigger JIT compilation of all numba kernels on tiny inputs."""
-    if _active_backend != "numba":
-        return
-    x = np.random.default_rng(0).normal(size=(2, 3))
-    y = softmax_lastaxis(x)
-    softmax_lastaxis_grad(y, x)
-    gamma = np.ones(3)
-    beta = np.zeros(3)
-    out, mean, rstd = layernorm_lastaxis(x, gamma, beta, 1e-5)
-    layernorm_lastaxis_grad(x, gamma, mean, rstd, out)
-    gelu_grad(x, gelu(x))
+    cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
+    pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
+    return g * (cdf + x * pdf)

@@ -23,16 +23,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import diffcore as dc
-from .data import MODES, SHOT_CHOICES, FewShotTask, SampleStore, generate_dataset, sample_k_shot
+from .data import MODES, SHOT_CHOICES, FewShotTask, generate_dataset, sample_k_shot
 from .diffcore import Tensor
-from .encoder import (
-    STRATEGIES,
-    EncoderConfig,
-    EncoderState,
-    PromptStack,
-    count_trainable_params,
-)
+from .encoder import STRATEGIES, EncoderState, PromptStack, count_trainable_params
 from .errors import ConfigError, DivergenceError, InvariantError, PromptLabError
 from .evaluate import accuracy, harmonic_mean
 from .heads import (
@@ -61,11 +54,7 @@ __all__ = [
     "prototype_bank",
     "evaluate_task",
     "parse_depth_range",
-    "load_train_config",
-    "config_from_mapping",
-    "merge_env",
-    "build_config",
-    "parse_config_file",
+    "load_config",
     "save_records",
     "load_records",
 ]
@@ -149,6 +138,17 @@ class TrainConfig:
     def active_layers(self) -> Tuple[int, ...]:
         first, last = self.depth_range
         return tuple(range(first - 1, last))
+
+    def prompt_stack(self, width: int, seed: int) -> PromptStack:
+        """A freshly initialized prompt stack of this config's shape."""
+        return PromptStack.create(
+            self.strategy,
+            self.prompt_length,
+            width,
+            active_layers=self.active_layers(),
+            alpha=self.alpha if self.strategy == "progressive" else None,
+            seed=seed,
+        )
 
     def epochs(self) -> int:
         if self.max_epochs is not None:
@@ -334,14 +334,7 @@ def train(
     started = time.perf_counter()
     clamp_baseline = clamp_counter.count
 
-    stack = PromptStack.create(
-        config.strategy,
-        config.prompt_length,
-        encoder.config.width,
-        active_layers=config.active_layers(),
-        alpha=config.alpha if config.strategy == "progressive" else None,
-        seed=seed,
-    )
+    stack = config.prompt_stack(encoder.config.width, seed)
     state = EncoderState(encoder.config, encoder.weights, stack)
 
     train_classes = sorted(int(c) for c in np.unique(task.train_labels))
@@ -539,7 +532,25 @@ _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
 
 
-def parse_config_file(path) -> Dict[str, str]:
+def load_config(path=None, overrides=None, env=None) -> TrainConfig:
+    """Build a TrainConfig from layered textual keys.
+
+    Precedence, lowest first: built-in defaults < the `key = value` file at
+    `path` < PROMPTLAB_<KEY> variables in `env` (default: os.environ, e.g.
+    PROMPTLAB_LR=0.1) < `overrides` (key -> value; values are str()-ed).
+    """
+    merged = _parse_config_file(path) if path is not None else {}
+    env = os.environ if env is None else env
+    for key in _CONFIG_KEYS:
+        env_name = ENV_PREFIX + key.upper()
+        if env_name in env:
+            merged[key] = env[env_name]
+    for key, value in (overrides or {}).items():
+        merged[key] = str(value)
+    return _config_from_keys(merged)
+
+
+def _parse_config_file(path) -> Dict[str, str]:
     """`key = value` lines; '#' starts a comment; later keys win."""
     mapping: Dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -568,19 +579,7 @@ def _parse_bool(value: str, key: str) -> bool:
     raise ConfigError(f"{key} must be boolean-like, got {value!r}")
 
 
-def merge_env(mapping: Dict[str, str], env: Optional[Dict[str, str]] = None) -> Dict[str, str]:
-    """Overlay PROMPTLAB_<KEY> environment variables onto a config mapping."""
-    env = os.environ if env is None else env
-    merged = dict(mapping)
-    for key in _CONFIG_KEYS:
-        env_name = ENV_PREFIX + key.upper()
-        if env_name in env:
-            merged[key] = env[env_name]
-    return merged
-
-
-def build_config(merged: Dict[str, str]) -> TrainConfig:
-    """Build a TrainConfig from already-merged textual keys."""
+def _config_from_keys(merged: Dict[str, str]) -> TrainConfig:
     for key in merged:
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
@@ -632,15 +631,3 @@ def build_config(merged: Dict[str, str]) -> TrainConfig:
         kwargs["eval_each_epoch"] = _parse_bool(merged["eval_each_epoch"], "eval_each_epoch")
     return TrainConfig(**kwargs)
 
-
-def config_from_mapping(mapping: Dict[str, str], env: Optional[Dict[str, str]] = None) -> TrainConfig:
-    """Build a TrainConfig from textual keys, applying PROMPTLAB_* overrides.
-
-    Any config key may be overridden by an environment variable named
-    PROMPTLAB_<KEY> (upper-cased), e.g. PROMPTLAB_LR=0.1.
-    """
-    return build_config(merge_env(mapping, env))
-
-
-def load_train_config(path, env: Optional[Dict[str, str]] = None) -> TrainConfig:
-    return config_from_mapping(parse_config_file(path), env=env)

@@ -161,6 +161,21 @@ def test_eval_with_checkpoint_matches_train_metrics(tmp_path):
         assert evaluated[column] == trained[column]
 
 
+def test_eval_rejects_checkpoint_from_other_strategy(tmp_path, capsys):
+    checkpoint = tmp_path / "deep.bin"
+    two_blocks = [*WORLD, "--depth", "2"]
+    assert main(["train", *two_blocks, "--m", "2", "--strategy", "deep",
+                 "--depth-range", "1..2", "--shots", "2", "--epochs", "1",
+                 "--seed", "0", "--checkpoint", str(checkpoint)]) == 0
+    capsys.readouterr()
+    assert main(["eval", *two_blocks, "--m", "2", "--strategy", "shallow",
+                 "--depth-range", "1..2", "--shots", "2", "--seed", "0",
+                 "--checkpoint", str(checkpoint)]) == 1
+    captured = capsys.readouterr()
+    assert "CheckpointError" in captured.err and "prompts.layer_1" in captured.err
+    assert "base_accuracy=" not in captured.out
+
+
 def test_eval_without_checkpoint_runs_fresh_prompts(capsys):
     assert main(["eval", *TRAIN, "--seed", "0"]) == 0
     assert "base_accuracy=" in capsys.readouterr().out

@@ -12,7 +12,7 @@ from promptlab.encoder import (
     insert_prompts,
     progressive_combine,
 )
-from promptlab.errors import ConfigError, DimensionError, InvariantError
+from promptlab.errors import CheckpointError, ConfigError, DimensionError, InvariantError
 
 CFG = EncoderConfig(depth=3, width=16, heads=2, patch_count=5, patch_dim=4, output_dim=6, seed=7)
 
@@ -95,6 +95,9 @@ def test_stack_state_dict_roundtrip():
     bad = {k: np.zeros((1, 1)) for k in saved}
     with pytest.raises(DimensionError):
         other.load_state_dict(bad)
+    extra = dict(saved, **{"prompts.layer_2": np.zeros((3, 16))})
+    with pytest.raises(CheckpointError, match="prompts.layer_2"):
+        other.load_state_dict(extra)
 
 
 # ---------------------------------------------------------------------------

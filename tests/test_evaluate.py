@@ -16,6 +16,7 @@ from promptlab.evaluate import (
     harmonic_mean,
     parse_table,
 )
+from promptlab.trainer import _forward_features
 
 
 # ---------------------------------------------------------------------------
@@ -279,19 +280,19 @@ SPEC = SyntheticTaskSpec(class_count=3, patch_count=4, patch_dim=6,
                          samples_per_class=5, noise_std=0.2)
 
 
-def _variants():
-    weights_owner = EncoderState.create(ENC_CFG)
+def _variants(images):
+    encoder = EncoderState.create(ENC_CFG)
     stack = PromptStack.create("deep", 2, ENC_CFG.width, active_layers=(0, 1), seed=5)
     return {
-        "frozen": EncoderState(weights_owner.config, weights_owner.weights, PromptStack.none()),
-        "prompted": EncoderState(weights_owner.config, weights_owner.weights, stack),
+        "frozen": _forward_features(encoder, images),
+        "prompted": _forward_features(encoder, images, stack=stack),
     }
 
 
 def test_export_row_count_and_header(tmp_path):
     store = generate_dataset(SPEC, 0)
     path = tmp_path / "emb.tsv"
-    count = export_embeddings(_variants(), store.samples[:10], store.labels[:10], path)
+    count = export_embeddings(_variants(store.samples[:10]), store.labels[:10], path)
     lines = path.read_text().splitlines()
     assert count == 20
     assert len(lines) == 21
@@ -301,15 +302,15 @@ def test_export_row_count_and_header(tmp_path):
 def test_export_is_deterministic(tmp_path):
     store = generate_dataset(SPEC, 0)
     a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
-    export_embeddings(_variants(), store.samples[:6], store.labels[:6], a)
-    export_embeddings(_variants(), store.samples[:6], store.labels[:6], b)
+    export_embeddings(_variants(store.samples[:6]), store.labels[:6], a)
+    export_embeddings(_variants(store.samples[:6]), store.labels[:6], b)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_export_prompted_rows_differ_from_frozen(tmp_path):
     store = generate_dataset(SPEC, 0)
     path = tmp_path / "emb.tsv"
-    export_embeddings(_variants(), store.samples[:6], store.labels[:6], path)
+    export_embeddings(_variants(store.samples[:6]), store.labels[:6], path)
     frozen, prompted = {}, {}
     for line in path.read_text().splitlines()[1:]:
         cells = line.split("\t")
@@ -321,31 +322,29 @@ def test_export_prompted_rows_differ_from_frozen(tmp_path):
 
 def test_export_values_match_forward_exactly(tmp_path):
     store = generate_dataset(SPEC, 0)
-    variants = _variants()
     path = tmp_path / "emb.tsv"
-    export_embeddings(variants, store.samples[:4], store.labels[:4], path)
+    export_embeddings(_variants(store.samples[:4]), store.labels[:4], path)
     lines = [l.split("\t") for l in path.read_text().splitlines()[1:]]
     frozen_rows = np.array([[float(v) for v in cells[2:]]
                             for cells in lines if cells[0] == "frozen"])
-    expected, _ = variants["frozen"].forward(store.samples[:4])
+    expected, _ = EncoderState.create(ENC_CFG).forward(store.samples[:4])
     assert np.array_equal(frozen_rows, expected.data)
 
 
 def test_export_rejects_dim_mismatch(tmp_path):
     other_cfg = EncoderConfig(depth=1, width=16, heads=2, patch_count=4, patch_dim=6,
                               output_dim=6, seed=2)
-    variants = _variants()
-    variants["small"] = EncoderState.create(other_cfg)
     store = generate_dataset(SPEC, 0)
+    variants = _variants(store.samples[:4])
+    variants["small"] = _forward_features(EncoderState.create(other_cfg), store.samples[:4])
     with pytest.raises(DimensionError):
-        export_embeddings(variants, store.samples[:4], store.labels[:4],
-                          tmp_path / "emb.tsv")
+        export_embeddings(variants, store.labels[:4], tmp_path / "emb.tsv")
 
 
 def test_export_rejects_label_mismatch_and_empty(tmp_path):
     store = generate_dataset(SPEC, 0)
     with pytest.raises(DimensionError):
-        export_embeddings(_variants(), store.samples[:4], store.labels[:3],
+        export_embeddings(_variants(store.samples[:4]), store.labels[:3],
                           tmp_path / "emb.tsv")
     with pytest.raises(EvaluationError):
-        export_embeddings({}, store.samples[:4], store.labels[:4], tmp_path / "emb.tsv")
+        export_embeddings({}, store.labels[:4], tmp_path / "emb.tsv")

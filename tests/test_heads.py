@@ -379,3 +379,30 @@ def test_ce_gradient_through_prompted_encoder():
 
     report = finite_difference_check(f, stack.prompts[0].data.copy(), tolerance=1e-4)
     assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("strategy", ["shallow", "deep", "progressive"])
+def test_gradient_through_prompts_starting_past_block_one(strategy):
+    # Prompts on blocks 2..3 of 3: the gradient must flow through the
+    # insertion at a block whose input already went through a frozen block.
+    cfg = EncoderConfig(depth=3, width=16, heads=2, patch_count=4, patch_dim=6, output_dim=8, seed=31)
+    alpha = 0.1 if strategy == "progressive" else None
+    stack = PromptStack.create(strategy, 2, cfg.width, active_layers=(1, 2), alpha=alpha, seed=32)
+    enc = EncoderState.create(cfg, stack)
+    bank = heads.ClassEmbeddingBank.generate(3, cfg.output_dim, seed=33, temperature=0.2)
+    images = np.random.default_rng(34).normal(size=(3, cfg.patch_count, cfg.patch_dim))
+    labels = np.array([0, 1, 2])
+    frozen = Tensor(enc.forward_frozen(images)[0].data)
+    layers, m = sorted(stack.prompts), stack.length
+
+    def f(x):
+        for j, i in enumerate(layers):
+            stack.prompts[i] = dc.reshape(dc.slice_axis(x, 0, j * m, (j + 1) * m), (m, cfg.width))
+        feats, _ = enc.forward(images)
+        ce = heads.cross_entropy(heads.cosine_logits(feats, bank), labels)
+        ref = heads.reformation_loss(feats, frozen)
+        return heads.total_loss(ce, ref, None, heads.LossConfig(mode="ref"))
+
+    x0 = np.concatenate([stack.prompts[i].data for i in layers])
+    report = finite_difference_check(f, x0, tolerance=1e-4)
+    assert report.passed, str(report)

@@ -19,14 +19,10 @@ from promptlab.trainer import (
     SGD,
     RunRecord,
     TrainConfig,
-    build_config,
-    config_from_mapping,
     epochs_for_shots,
     evaluate_task,
+    load_config,
     load_records,
-    load_train_config,
-    merge_env,
-    parse_config_file,
     parse_depth_range,
     prototype_bank,
     run_grid,
@@ -512,7 +508,7 @@ def test_parse_config_file_full_schema(tmp_path):
         "\n"
         "mode = few_shot\n"
     )
-    config = load_train_config(path, env={})
+    config = load_config(path, env={})
     assert config.strategy == "progressive"
     assert config.prompt_length == 6
     assert config.alpha == 0.3
@@ -531,18 +527,18 @@ def test_parse_config_file_rejects_unknown_key(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("optimizer = adam\n")
     with pytest.raises(ConfigError, match="line 1|:1"):
-        parse_config_file(path)
+        load_config(path, env={})
 
 
 def test_parse_config_file_rejects_missing_equals(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("strategy progressive\n")
     with pytest.raises(ConfigError):
-        parse_config_file(path)
+        load_config(path, env={})
 
 
 def test_config_defaults_match_documented_values():
-    config = config_from_mapping({}, env={})
+    config = load_config(env={})
     assert config.strategy == "progressive"
     assert config.learning_rate == 0.05
     assert config.weight_decay == 0.0005
@@ -554,34 +550,38 @@ def test_config_defaults_match_documented_values():
     assert config.batch_size == 32
 
 
-def test_env_overrides_file_values():
-    config = config_from_mapping({"lr": "0.05"}, env={"PROMPTLAB_LR": "0.2"})
+def test_env_overrides_file_values(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("lr = 0.05\nshots = 16\n")
+    config = load_config(path, env={"PROMPTLAB_LR": "0.2"})
     assert config.learning_rate == 0.2
-    config = config_from_mapping({"shots": "16"}, env={"PROMPTLAB_SHOTS": "4"})
+    assert config.shots == 16
+    config = load_config(path, env={"PROMPTLAB_SHOTS": "4"})
     assert config.shots == 4
 
 
-def test_cli_style_overlay_beats_env():
-    merged = merge_env({"lr": "0.05"}, env={"PROMPTLAB_LR": "0.2"})
-    merged["lr"] = "0.9"
-    assert build_config(merged).learning_rate == 0.9
+def test_cli_style_overlay_beats_env(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("lr = 0.05\n")
+    config = load_config(path, overrides={"lr": 0.9}, env={"PROMPTLAB_LR": "0.2"})
+    assert config.learning_rate == 0.9
 
 
 def test_config_rejects_unparseable_values():
     with pytest.raises(ConfigError):
-        config_from_mapping({"m": "many"}, env={})
+        load_config(overrides={"m": "many"}, env={})
     with pytest.raises(ConfigError):
-        config_from_mapping({"seeds": "0,x"}, env={})
+        load_config(overrides={"seeds": "0,x"}, env={})
     with pytest.raises(ConfigError):
-        config_from_mapping({"eval_each_epoch": "maybe"}, env={})
+        load_config(overrides={"eval_each_epoch": "maybe"}, env={})
 
 
 def test_non_progressive_config_drops_alpha():
-    config = config_from_mapping({"strategy": "deep"}, env={})
+    config = load_config(overrides={"strategy": "deep"}, env={})
     assert config.alpha is None
 
 
 def test_kd_config_wires_beta():
-    config = config_from_mapping({"loss_mode": "kd", "beta": "0.25"}, env={})
+    config = load_config(overrides={"loss_mode": "kd", "beta": 0.25}, env={})
     assert config.loss.mode == "kd"
     assert config.loss.kd_weight == 0.25
