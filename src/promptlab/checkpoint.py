@@ -13,9 +13,8 @@ Layout, all little-endian:
         f64*     row-major payload
 
 Keys are namespaced by convention: ``backbone.*`` for frozen encoder
-weights, ``prompts.layer_<i>`` for prompt tensors, ``class_bank`` for
-class embeddings. Round-trips are exact; parse failures report the byte
-offset where the file stopped making sense.
+weights, ``prompts.layer_<i>`` for prompt tensors. Round-trips are exact;
+parse failures report the byte offset where the file stopped making sense.
 """
 
 import struct

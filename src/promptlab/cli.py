@@ -175,7 +175,8 @@ def cmd_train(args) -> int:
         record = train(task, encoder, bank, config, seed)
         records.append(record)
         _print_metrics(f"seed {seed}: ", record.eval_metrics)
-    summary = aggregate_seeds(records)
+    serialized = [record.to_json_dict() for record in records]
+    summary = aggregate_seeds(serialized)
     for name in sorted(summary["metrics"]):
         print(f"{name}: {summary['metrics'][name]}")
     if args.records:
@@ -185,7 +186,7 @@ def cmd_train(args) -> int:
         save_tensors(args.checkpoint, records[0].prompt_state)
         print(f"checkpoint: {args.checkpoint} (seed {records[0].seed})")
     if args.table:
-        report = _maybe_report(records)
+        report = _maybe_report(serialized)
         if report is None:
             print("table skipped: records lack base/novel metrics", file=sys.stderr)
         else:
@@ -267,10 +268,11 @@ def cmd_grid(args) -> int:
                   f"{failure['error']}", file=sys.stderr)
         all_records.extend(cell["records"])
         if cell["records"]:
-            report = _maybe_report(cell["records"])
+            serialized = [record.to_json_dict() for record in cell["records"]]
+            report = _maybe_report(serialized)
             if report is not None:
                 reports.append(report)
-            summary = aggregate_seeds(cell["records"])
+            summary = aggregate_seeds(serialized)
             line = " ".join(f"{k}={v}" for k, v in sorted(cell["coordinates"].items())
                             if v is not None)
             metric = summary["metrics"].get("harmonic_mean") or summary["metrics"].get("test_accuracy")
@@ -305,13 +307,13 @@ def run_grad_check(loss_mode: str, step: float = 1e-5, tolerance: float = 1e-4, 
     images = rng.normal(size=(3, cfg.patch_count, cfg.patch_dim))
     labels = np.array([0, 1, 2])
     loss_config = LossConfig(mode=loss_mode, ref_weight=1.0, kd_weight=1.0)
-    frozen = state.forward(images, stack=PromptStack.none())[0].data
+    frozen = state.forward(images, stack=PromptStack.none()).data
     length = stack.length
 
     def f(x):
         stack.prompts[0] = dc.reshape(dc.slice_axis(x, 0, 0, length), (length, cfg.width))
         stack.prompts[1] = dc.reshape(dc.slice_axis(x, 0, length, 2 * length), (length, cfg.width))
-        feats, _ = state.forward(images)
+        feats = state.forward(images)
         probs = cosine_logits(feats, bank)
         ce = cross_entropy(probs, labels)
         ref = kd = None
@@ -337,6 +339,8 @@ def cmd_grad_check(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
+    if args.limit < 0:
+        raise ConfigError(f"--limit must be non-negative, got {args.limit}")
     _, encoder, _, store, stack = _checkpointed_setup(args)
     images = store.samples[:args.limit]
     features = {

@@ -39,10 +39,8 @@ __all__ = [
     "gelu",
     "l2_normalize",
     "log",
-    "exp",
     "clamp_min",
     "tensor_sum",
-    "tensor_mean",
     "logsumexp",
     "take_diagonal",
     "toposort",
@@ -80,10 +78,6 @@ class Tensor:
             raise DimensionError(f"item() requires a scalar tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self):
-        """A defensive copy of the underlying array."""
-        return self.data.copy()
-
     def detach(self):
         """A gradient-free tensor sharing this tensor's values."""
         return Tensor(self.data.copy(), requires_grad=False)
@@ -110,33 +104,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
-
-    # Arithmetic sugar; scalars are lifted to constants.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        raise TypeError("tensor division is only supported by scalars")
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _as_tensor(value):
@@ -436,17 +403,6 @@ def log(x):
     return _from_op(data, (x,), backward, "log")
 
 
-def exp(x):
-    x = _as_tensor(x)
-    data = np.exp(x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            x.grad += g * data
-
-    return _from_op(data, (x,), backward, "exp")
-
-
 def clamp_min(x, floor):
     """Elementwise max(x, floor); gradient passes only where x exceeds the floor."""
     x = _as_tensor(x)
@@ -474,12 +430,6 @@ def tensor_sum(x, axis=None, keepdims=False):
                 x.grad += np.broadcast_to(gk, x.shape)
 
     return _from_op(data, (x,), backward, "sum")
-
-
-def tensor_mean(x, axis=None, keepdims=False):
-    x = _as_tensor(x)
-    count = x.size if axis is None else x.shape[axis]
-    return scale(tensor_sum(x, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 def logsumexp(x, axis=-1):

@@ -20,11 +20,12 @@ tokens are the only trainable tensors. Four insertion strategies:
     inserted block a function of the input.
 
 Token layout after insertion is always [class, prompts, patches]. Prompt
-tokens receive no positional embedding.
+tokens receive no positional embedding. :meth:`EncoderState.forward`
+returns only the unit-norm feature tensor.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -39,7 +40,6 @@ __all__ = [
     "STRATEGIES",
     "EncoderConfig",
     "PromptStack",
-    "LayerTrace",
     "EncoderState",
     "progressive_combine",
     "insert_prompts",
@@ -173,21 +173,6 @@ class PromptStack:
             tensor.data[...] = value
 
 
-@dataclass
-class LayerTrace:
-    """Per-forward bookkeeping of prompt blocks.
-
-    `inserted[i]` is the effective prompt block fed into layer i, per
-    sample; `prompt_outputs[i]` is what layer i emitted at the prompt
-    positions. Both exist exactly for layers where insertion happened.
-    `feature` is the final unit-norm class feature.
-    """
-
-    inserted: Dict[int, np.ndarray] = field(default_factory=dict)
-    prompt_outputs: Dict[int, np.ndarray] = field(default_factory=dict)
-    feature: Optional[np.ndarray] = None
-
-
 def progressive_combine(fresh: Tensor, prev_output: Tensor, alpha) -> Tensor:
     """(1 - alpha) * fresh + alpha * prev_output, differentiable in both."""
     alpha = float(alpha)
@@ -312,11 +297,12 @@ class EncoderState:
         mlp = dc.add(dc.matmul(hidden, self.weights[f"{p}.mlp.w2"]), self.weights[f"{p}.mlp.b2"])
         return dc.add(x, mlp)
 
-    def forward(self, images, stack: Optional[PromptStack] = None):
-        """Run the encoder; returns (unit-norm features, LayerTrace).
+    def forward(self, images, stack: Optional[PromptStack] = None) -> Tensor:
+        """Run the encoder; returns the unit-norm feature Tensor.
 
-        `stack` overrides the state's own prompt stack; pass a `none`
-        stack (or use :meth:`forward_frozen`) for the frozen path f(x).
+        The features are shaped (batch, output_dim), or (output_dim,) for a
+        single image. `stack` overrides the state's own prompt stack; pass
+        ``PromptStack.none()`` for the frozen path f(x).
         """
         stack = self.prompt_stack if stack is None else stack
         if stack.active_layers and stack.active_layers[-1] >= self.config.depth:
@@ -325,15 +311,11 @@ class EncoderState:
             )
         batch, single = self._as_batch(images)
         x = self.embed_patches(batch)
-        trace = LayerTrace()
         insertion = set(stack.insertion_layers())
-        m = stack.length
         for i in range(self.config.depth):
             if i in insertion:
-                x, effective = insert_prompts(x, i, stack, trace)
+                x = insert_prompts(x, i, stack)
             x = self._block(x, i)
-            if i in insertion:
-                trace.prompt_outputs[i] = x.data[:, 1:1 + m, :].copy()
         ln = dc.layernorm(
             x, self.weights["backbone.ln_final.gamma"], self.weights["backbone.ln_final.beta"]
         )
@@ -341,25 +323,20 @@ class EncoderState:
         feature = dc.l2_normalize(dc.matmul(cls_tok, self.weights["backbone.proj.weight"]), axis=-1)
         if single:
             feature = dc.reshape(feature, (self.config.output_dim,))
-        trace.feature = feature.data.copy()
-        return feature, trace
-
-    def forward_frozen(self, images):
-        """The frozen feature path f(x), independent of any prompt stack."""
-        return self.forward(images, stack=PromptStack.none())
+        return feature
 
 
-def insert_prompts(tokens: Tensor, layer_index: int, stack: PromptStack, trace: LayerTrace):
+def insert_prompts(tokens: Tensor, layer_index: int, stack: PromptStack) -> Tensor:
     """Place the effective prompt block for `layer_index` into `tokens`.
 
-    Returns (new token sequence, effective block values). At the first
-    active layer the fresh parameters are spliced between the class token
-    and the patches; at later active layers the incoming sequence carries
-    the previous layer's prompt outputs at positions [1, 1+m), which are
-    consumed here: discarded by `deep`, interpolated by `progressive`.
+    Returns the new token sequence. At the first active layer the fresh
+    parameters are spliced between the class token and the patches; at
+    later active layers the incoming sequence carries the previous layer's
+    prompt outputs at positions [1, 1+m), which are consumed here:
+    discarded by `deep`, interpolated by `progressive`.
     """
     if stack.strategy == "none":
-        return tokens, None
+        return tokens
     m = stack.length
     batch, seq_len, width = tokens.shape
     first = stack.first_layer
@@ -371,10 +348,10 @@ def insert_prompts(tokens: Tensor, layer_index: int, stack: PromptStack, trace: 
     else:
         if stack.strategy == "shallow":
             raise InvariantError("shallow stacks insert only at their first active layer")
-        if layer_index - 1 not in trace.inserted:
+        if layer_index - 1 not in stack.insertion_layers():
             raise InvariantError(
                 f"layer {layer_index} expects prompt outputs from layer {layer_index - 1}, "
-                "but no insertion was recorded there"
+                "but the stack inserts no prompts there"
             )
         fresh = stack.prompts[layer_index]
         if stack.strategy == "deep":
@@ -385,10 +362,7 @@ def insert_prompts(tokens: Tensor, layer_index: int, stack: PromptStack, trace: 
         tail = dc.slice_axis(tokens, 1, 1 + m, seq_len)
 
     head = dc.slice_axis(tokens, 1, 0, 1)
-    out = dc.concat([head, block, tail], axis=1)
-    effective = np.broadcast_to(block.data, (batch, m, width)).copy()
-    trace.inserted[layer_index] = effective
-    return out, effective
+    return dc.concat([head, block, tail], axis=1)
 
 
 def count_trainable_params(state: EncoderState) -> int:

@@ -82,28 +82,10 @@ class MetricSummary:
         return f"{self.mean:.2f} ± {self.stddev:.2f}"
 
 
-def _coordinates_of(record) -> Dict[str, object]:
-    if isinstance(record, dict):
-        return record["coordinates"]
-    return record.coordinates
-
-
-def _metrics_of(record) -> Dict[str, float]:
-    if isinstance(record, dict):
-        return record["eval_metrics"]
-    return record.eval_metrics
-
-
-def _field_of(record, name, default=None):
-    if isinstance(record, dict):
-        return record.get(name, default)
-    return getattr(record, name, default)
-
-
 def _check_same_coordinates(records) -> Dict[str, object]:
-    first = _coordinates_of(records[0])
+    first = records[0]["coordinates"]
     for record in records[1:]:
-        coords = _coordinates_of(record)
+        coords = record["coordinates"]
         if coords != first:
             differing = sorted(
                 k for k in set(first) | set(coords) if first.get(k) != coords.get(k)
@@ -114,8 +96,11 @@ def _check_same_coordinates(records) -> Dict[str, object]:
     return dict(first)
 
 
-def aggregate_seeds(records: Sequence) -> Dict[str, object]:
+def aggregate_seeds(records: Sequence[Dict[str, object]]) -> Dict[str, object]:
     """Per-metric mean and population stddev over same-coordinate records.
+
+    Records are serialized run records, as `RunRecord.to_json_dict()` and
+    `load_records` give them.
 
     Returns {"coordinates": ..., "seeds": ..., "metrics": {name: MetricSummary}}.
     Only metrics present in every record are aggregated.
@@ -123,18 +108,18 @@ def aggregate_seeds(records: Sequence) -> Dict[str, object]:
     if not records:
         raise AggregationError("no records to aggregate")
     coordinates = _check_same_coordinates(records)
-    shared = set(_metrics_of(records[0]))
+    shared = set(records[0]["eval_metrics"])
     for record in records[1:]:
-        shared &= set(_metrics_of(record))
+        shared &= set(record["eval_metrics"])
     metrics = {}
     for name in sorted(shared):
-        values = np.array([_metrics_of(r)[name] for r in records], dtype=float)
+        values = np.array([r["eval_metrics"][name] for r in records], dtype=float)
         metrics[name] = MetricSummary(
             mean=float(values.mean()),
             stddev=float(values.std()),
             count=len(values),
         )
-    seeds = tuple(_field_of(r, "seed") for r in records)
+    seeds = tuple(r["seed"] for r in records)
     return {"coordinates": coordinates, "seeds": seeds, "metrics": metrics}
 
 
@@ -168,7 +153,7 @@ class EvalReport:
         )
 
     @classmethod
-    def from_records(cls, records: Sequence) -> "EvalReport":
+    def from_records(cls, records: Sequence[Dict[str, object]]) -> "EvalReport":
         """Aggregate same-coordinate run records into one report."""
         summary = aggregate_seeds(records)
         metrics = summary["metrics"]
@@ -176,10 +161,10 @@ class EvalReport:
             if needed not in metrics:
                 raise AggregationError(f"records lack the {needed!r} metric")
         per_seed = {
-            name: tuple(float(_metrics_of(r)[name]) for r in records)
+            name: tuple(float(r["eval_metrics"][name]) for r in records)
             for name in ("base_accuracy", "novel_accuracy", "harmonic_mean")
         }
-        params = {_field_of(r, "trainable_params", 0) for r in records}
+        params = {r["trainable_params"] for r in records}
         if len(params) > 1:
             raise AggregationError(f"records disagree on trainable_params: {sorted(params)}")
         return cls(

@@ -22,10 +22,8 @@ from typing import Optional
 import numpy as np
 
 from . import diffcore as dc
-from .checkpoint import load_tensors, save_tensors
 from .diffcore import Tensor
 from .errors import (
-    CheckpointError,
     ConfigError,
     DegenerateInputError,
     DimensionError,
@@ -48,8 +46,6 @@ __all__ = [
     "reformation_loss",
     "kd_loss",
     "total_loss",
-    "save_class_embeddings",
-    "load_class_embeddings",
 ]
 
 
@@ -76,7 +72,7 @@ class ClassEmbeddingBank:
     Immutable after construction; rows are guaranteed unit-norm to 1e-9.
     """
 
-    def __init__(self, embeddings, temperature=0.01, source="generated"):
+    def __init__(self, embeddings, temperature=0.01):
         arr = np.ascontiguousarray(embeddings, dtype=np.float64)
         if arr.ndim != 2:
             raise DimensionError(f"class embeddings must be 2-d, got shape {arr.shape}")
@@ -91,7 +87,6 @@ class ClassEmbeddingBank:
             raise ConfigError(f"temperature must be positive, got {temperature}")
         self.embeddings = Tensor(arr)
         self.temperature = float(temperature)
-        self.source = source
 
     @property
     def class_count(self) -> int:
@@ -112,9 +107,7 @@ class ClassEmbeddingBank:
             raise ConfigError("subset needs at least one class id")
         if any(i < 0 or i >= self.class_count for i in ids):
             raise ConfigError(f"class ids {ids} out of range for {self.class_count} classes")
-        return ClassEmbeddingBank(
-            self.embeddings.data[ids], temperature=self.temperature, source=self.source
-        )
+        return ClassEmbeddingBank(self.embeddings.data[ids], temperature=self.temperature)
 
     @classmethod
     def generate(cls, class_count, dim, seed, temperature=0.01, max_cosine=0.5):
@@ -146,7 +139,7 @@ class ClassEmbeddingBank:
             if rows and np.abs(np.asarray(rows) @ candidate).max() > max_cosine:
                 continue
             rows.append(candidate)
-        return cls(np.asarray(rows), temperature=temperature, source="generated")
+        return cls(np.asarray(rows), temperature=temperature)
 
 
 def one_hot(labels, class_count) -> np.ndarray:
@@ -291,29 +284,3 @@ def total_loss(ce: Tensor, ref: Optional[Tensor], kd: Optional[Tensor], config: 
         raise ConfigError("mode 'kd' needs the KL component")
     return dc.add(ce, dc.scale(kd, config.kd_weight))
 
-
-def save_class_embeddings(path, bank: ClassEmbeddingBank) -> None:
-    save_tensors(path, {"class_bank": bank.embeddings.data})
-
-
-def load_class_embeddings(path, temperature=0.01, expected_dim=None) -> ClassEmbeddingBank:
-    """Read a bank from a container file; rows are re-normalized to unit norm."""
-    tensors = load_tensors(path)
-    if "class_bank" not in tensors:
-        raise CheckpointError(
-            f"container {path} has no 'class_bank' entry; keys: {sorted(tensors)}"
-        )
-    arr = tensors["class_bank"]
-    if arr.ndim != 2:
-        raise DimensionError(f"class bank must be 2-d, got shape {arr.shape}")
-    if expected_dim is not None and arr.shape[1] != expected_dim:
-        raise DimensionError(
-            f"class bank dim {arr.shape[1]} does not match expected {expected_dim}"
-        )
-    norms = np.linalg.norm(arr, axis=1)
-    if np.any(norms == 0.0):
-        raise DegenerateInputError(f"class bank in {path} contains a zero row")
-    unit = arr.copy()
-    off = np.abs(norms - 1.0) > 1e-9  # leave already-unit rows bitwise intact
-    unit[off] = arr[off] / norms[off, None]
-    return ClassEmbeddingBank(unit, temperature=temperature, source="loaded")

@@ -268,7 +268,7 @@ def prototype_bank(state: EncoderState, store, temperature: float = 0.1) -> Clas
     held-out classes is meaningful. Row c is the frozen (promptless)
     feature of class c's prototype; rows are unit-norm already.
     """
-    feats, _ = state.forward(store.prototypes, stack=PromptStack.none())
+    feats = state.forward(store.prototypes, stack=PromptStack.none())
     return ClassEmbeddingBank(feats.data, temperature=temperature)
 
 
@@ -276,7 +276,7 @@ def _forward_features(state: EncoderState, images, stack=None) -> np.ndarray:
     """Feature matrix for a (possibly large) image set, without gradients."""
     chunks = []
     for start in range(0, len(images), _EVAL_CHUNK):
-        feats, _ = state.forward(images[start:start + _EVAL_CHUNK], stack=stack)
+        feats = state.forward(images[start:start + _EVAL_CHUNK], stack=stack)
         chunks.append(feats.data)
     return np.concatenate(chunks) if chunks else np.empty((0, state.config.output_dim))
 
@@ -360,7 +360,7 @@ def train(
         order = np.random.default_rng(seed + epoch).permutation(n)
         for step_index, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start:start + config.batch_size]
-            feats, _ = state.forward(images[idx])
+            feats = state.forward(images[idx])
             probs = cosine_logits(feats, sub_bank)
             ce = cross_entropy(probs, local_labels[idx])
             ref = kd = None
@@ -434,10 +434,11 @@ def _apply_axis(config: TrainConfig, axis: str, value) -> TrainConfig:
         pair = parse_depth_range(value) if isinstance(value, str) else tuple(value)
         return replace(config, depth_range=pair)
     if axis == "strategy":
-        updated = replace(config, strategy=value)
         if value != "progressive":
-            updated = replace(updated, alpha=None)
-        return updated
+            return replace(config, strategy=value, alpha=None)
+        # A non-progressive base carries no alpha; use TrainConfig's default.
+        alpha = TrainConfig.alpha if config.alpha is None else config.alpha
+        return replace(config, strategy=value, alpha=alpha)
     if axis == "shots":
         return replace(config, shots=value)
     raise ConfigError(f"unknown grid axis {axis!r}; expected one of {_GRID_AXES}")

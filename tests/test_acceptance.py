@@ -128,8 +128,8 @@ def test_criterion_03_zero_alpha_progressive_matches_deep():
     state = EncoderState.create(cfg, PromptStack.none())
     images = np.random.default_rng(3).normal(
         size=(100, cfg.patch_count, cfg.patch_dim))
-    feats_deep = state.forward(images, stack=deep)[0].data
-    feats_prog = state.forward(images, stack=progressive)[0].data
+    feats_deep = state.forward(images, stack=deep).data
+    feats_prog = state.forward(images, stack=progressive).data
     diff = float(np.max(np.abs(feats_deep - feats_prog)))
     ok = diff <= 1e-12
     _verdict(3, "alpha=0 progressive equals deep over 100 inputs",
@@ -218,7 +218,7 @@ def test_criterion_06_loss_closed_forms():
 # 7. progressive prompts adapt per input, deep prompts do not
 # ---------------------------------------------------------------------------
 
-def test_criterion_07_progressive_prompts_adapt_per_input():
+def test_criterion_07_progressive_prompts_adapt_per_input(inserted_blocks):
     cfg = EncoderConfig()
     state = EncoderState.create(cfg, PromptStack.none())
     images = np.random.default_rng(11).normal(
@@ -226,12 +226,12 @@ def test_criterion_07_progressive_prompts_adapt_per_input():
 
     prog = PromptStack.create("progressive", 4, cfg.width,
                               active_layers=(0, 1), alpha=0.1, seed=2)
-    trace = state.forward(images, stack=prog)[1]
-    prog_gap = float(np.max(np.abs(trace.inserted[1][0] - trace.inserted[1][1])))
+    inserted = inserted_blocks(state, images, stack=prog)
+    prog_gap = float(np.max(np.abs(inserted[1][0] - inserted[1][1])))
 
     deep = PromptStack.create("deep", 4, cfg.width, active_layers=(0, 1), seed=2)
-    trace = state.forward(images, stack=deep)[1]
-    deep_gap = float(np.max(np.abs(trace.inserted[1][0] - trace.inserted[1][1])))
+    inserted = inserted_blocks(state, images, stack=deep)
+    deep_gap = float(np.max(np.abs(inserted[1][0] - inserted[1][1])))
 
     ok = prog_gap > 1e-6 and deep_gap == 0.0
     _verdict(7, "second-layer prompts differ across inputs only when progressive",

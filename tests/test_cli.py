@@ -241,6 +241,14 @@ def test_export_embeddings_writes_two_variants(tmp_path, capsys):
     assert variants == {"frozen", "prompted"}
 
 
+def test_export_embeddings_rejects_negative_limit(tmp_path, capsys):
+    out = tmp_path / "emb.tsv"
+    assert main(["export-embeddings", *TRAIN, "--seed", "0",
+                 "--limit", "-1", "--out", str(out)]) == 1
+    assert "ConfigError" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_make_data_round_trips(tmp_path):
     out = tmp_path / "data.bin"
     assert main(["make-data", *WORLD, "--seed", "3", "--out", str(out)]) == 0

@@ -225,6 +225,6 @@ def test_zero_shot_on_shifted_novel_classes_is_imperfect():
     enc = EncoderState.create(cfg)
     bank = ClassEmbeddingBank.generate(8, 8, seed=2)
     novel_mask = np.isin(store.labels, store.split.novel)
-    feats, _ = enc.forward(store.samples[novel_mask])
+    feats = enc.forward(store.samples[novel_mask])
     preds = cosine_logits(feats, bank).data.argmax(axis=1)
     assert (preds == store.labels[novel_mask]).mean() < 1.0

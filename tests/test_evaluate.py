@@ -327,7 +327,7 @@ def test_export_values_match_forward_exactly(tmp_path):
     lines = [l.split("\t") for l in path.read_text().splitlines()[1:]]
     frozen_rows = np.array([[float(v) for v in cells[2:]]
                             for cells in lines if cells[0] == "frozen"])
-    expected, _ = EncoderState.create(ENC_CFG).forward(store.samples[:4])
+    expected = EncoderState.create(ENC_CFG).forward(store.samples[:4])
     assert np.array_equal(frozen_rows, expected.data)
 
 

@@ -6,7 +6,6 @@ from promptlab import heads
 from promptlab.diffcore import Tensor, finite_difference_check
 from promptlab.encoder import EncoderConfig, EncoderState, PromptStack
 from promptlab.errors import (
-    CheckpointError,
     ConfigError,
     DegenerateInputError,
     DimensionError,
@@ -50,7 +49,6 @@ def test_bank_generation_is_seeded_and_separated():
     off = gram - np.diag(np.diag(gram))
     assert np.abs(off).max() <= 0.5
     assert np.abs(np.diag(gram) - 1.0).max() <= 1e-9
-    assert a.source == "generated"
     assert a.class_count == 8 and a.dim == 12
 
 
@@ -306,55 +304,6 @@ def test_loss_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# persistence
-# ---------------------------------------------------------------------------
-
-def test_bank_save_load_roundtrip(tmp_path):
-    bank = heads.ClassEmbeddingBank.generate(6, 8, seed=14)
-    path = tmp_path / "bank.ptc"
-    heads.save_class_embeddings(path, bank)
-    loaded = heads.load_class_embeddings(path)
-    assert np.array_equal(loaded.embeddings.data, bank.embeddings.data)
-    assert loaded.source == "loaded"
-
-
-def test_bank_load_renormalizes_scaled_rows(tmp_path):
-    bank = heads.ClassEmbeddingBank.generate(3, 5, seed=15)
-    path = tmp_path / "scaled.ptc"
-    from promptlab.checkpoint import save_tensors
-
-    save_tensors(path, {"class_bank": 5.0 * bank.embeddings.data})
-    loaded = heads.load_class_embeddings(path)
-    assert np.allclose(loaded.embeddings.data, bank.embeddings.data, atol=1e-12)
-
-
-def test_bank_load_failures(tmp_path):
-    from promptlab.checkpoint import save_tensors
-
-    zero = tmp_path / "zero.ptc"
-    save_tensors(zero, {"class_bank": np.array([[0.0, 0.0], [1.0, 0.0]])})
-    with pytest.raises(DegenerateInputError):
-        heads.load_class_embeddings(zero)
-
-    missing = tmp_path / "missing.ptc"
-    save_tensors(missing, {"other": np.ones((2, 2))})
-    with pytest.raises(CheckpointError):
-        heads.load_class_embeddings(missing)
-
-    wrong = tmp_path / "wrong.ptc"
-    save_tensors(wrong, {"class_bank": np.eye(3)})
-    with pytest.raises(DimensionError):
-        heads.load_class_embeddings(wrong, expected_dim=8)
-
-
-def test_bank_load_reports_offset_on_garbage(tmp_path):
-    path = tmp_path / "garbage.ptc"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(CheckpointError, match="offset"):
-        heads.load_class_embeddings(path)
-
-
-# ---------------------------------------------------------------------------
 # gradients through the full prompted pipeline
 # ---------------------------------------------------------------------------
 
@@ -374,7 +323,7 @@ def test_ce_gradient_through_prompted_encoder():
 
     def f(x):
         stack.prompts[0] = x
-        feats, _ = enc.forward(images)
+        feats = enc.forward(images)
         return heads.cross_entropy(heads.cosine_logits(feats, bank), labels)
 
     report = finite_difference_check(f, stack.prompts[0].data.copy(), tolerance=1e-4)
@@ -392,13 +341,13 @@ def test_gradient_through_prompts_starting_past_block_one(strategy):
     bank = heads.ClassEmbeddingBank.generate(3, cfg.output_dim, seed=33, temperature=0.2)
     images = np.random.default_rng(34).normal(size=(3, cfg.patch_count, cfg.patch_dim))
     labels = np.array([0, 1, 2])
-    frozen = Tensor(enc.forward_frozen(images)[0].data)
+    frozen = Tensor(enc.forward(images, stack=PromptStack.none()).data)
     layers, m = sorted(stack.prompts), stack.length
 
     def f(x):
         for j, i in enumerate(layers):
             stack.prompts[i] = dc.reshape(dc.slice_axis(x, 0, j * m, (j + 1) * m), (m, cfg.width))
-        feats, _ = enc.forward(images)
+        feats = enc.forward(images)
         ce = heads.cross_entropy(heads.cosine_logits(feats, bank), labels)
         ref = heads.reformation_loss(feats, frozen)
         return heads.total_loss(ce, ref, None, heads.LossConfig(mode="ref"))

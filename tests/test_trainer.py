@@ -1,11 +1,7 @@
-import json
-
 import numpy as np
 import pytest
 
-from promptlab import trainer
 from promptlab.data import (
-    BaseNovelSplit,
     FewShotTask,
     SyntheticTaskSpec,
     generate_dataset,
@@ -17,7 +13,6 @@ from promptlab.errors import ConfigError, DivergenceError, InvariantError
 from promptlab.heads import ClassEmbeddingBank, LossConfig
 from promptlab.trainer import (
     SGD,
-    RunRecord,
     TrainConfig,
     epochs_for_shots,
     evaluate_task,
@@ -266,9 +261,9 @@ def test_frozen_weights_unchanged_by_training(encoder, bank):
 def test_frozen_path_features_unchanged_by_training(encoder, bank):
     task = _episode()
     pristine = EncoderState.create(ENC_CFG)
-    expected, _ = pristine.forward(task.train_images, stack=PromptStack.none())
+    expected = pristine.forward(task.train_images, stack=PromptStack.none())
     train(task, encoder, bank, _short_config(), seed=0)
-    actual, _ = encoder.forward(task.train_images, stack=PromptStack.none())
+    actual = encoder.forward(task.train_images, stack=PromptStack.none())
     assert np.array_equal(actual.data, expected.data)
 
 
@@ -351,7 +346,7 @@ def test_evaluate_task_metric_keys(encoder, bank):
 def test_prototype_bank_rows_are_frozen_prototype_features(encoder):
     store = generate_dataset(SPEC, 0)
     bank = prototype_bank(encoder, store, temperature=0.1)
-    expected, _ = encoder.forward(store.prototypes, stack=PromptStack.none())
+    expected = encoder.forward(store.prototypes, stack=PromptStack.none())
     assert np.array_equal(bank.embeddings.data, expected.data)
     assert bank.temperature == 0.1
     norms = np.linalg.norm(bank.embeddings.data, axis=1)
@@ -484,6 +479,17 @@ def test_grid_depth_range_and_strategy_axes(encoder, bank):
     assert params[("deep", "1..1")] == 4 * 16
     assert params[("deep", "1..2")] == 2 * 4 * 16
     assert params[("progressive", "1..2")] == 2 * 4 * 16
+
+
+def test_grid_strategy_axis_gives_progressive_cell_default_alpha(encoder, bank):
+    cells = run_grid({"strategy": ["deep", "progressive"]},
+                     _grid_base(strategy="deep", alpha=None, seeds=(0,)), encoder, SPEC,
+                     bank_factory=lambda e, s: bank)
+    alphas = {c["coordinates"]["strategy"]: c["coordinates"]["alpha"] for c in cells}
+    assert alphas == {"deep": None, "progressive": TrainConfig().alpha}
+    for cell in cells:
+        assert cell["failures"] == []
+        assert len(cell["records"]) == 1
 
 
 # ---------------------------------------------------------------------------
