@@ -14,9 +14,9 @@ import numpy as np
 
 from . import diffcore as dc
 from .checkpoint import load_tensors, save_tensors
-from .data import SyntheticTaskSpec, generate_dataset, sample_k_shot, save_dataset
+from .data import MODES, SyntheticTaskSpec, generate_dataset, sample_k_shot, save_dataset
 from .diffcore import Tensor, finite_difference_check
-from .encoder import EncoderConfig, EncoderState, PromptStack, count_trainable_params
+from .encoder import STRATEGIES, EncoderConfig, EncoderState, PromptStack, count_trainable_params
 from .errors import ConfigError, PromptLabError
 from .evaluate import EvalReport, aggregate_seeds, emit_table, export_embeddings
 from .heads import (
@@ -30,7 +30,9 @@ from .heads import (
     total_loss,
 )
 from .trainer import (
+    LR_SCHEDULES,
     TrainConfig,
+    _CONFIG_KEYS,
     _forward_features,
     evaluate_task,
     load_config,
@@ -41,43 +43,23 @@ from .trainer import (
     train,
 )
 
-# argparse dest -> config-file key, for flags that mirror the file schema.
-_FLAG_KEYS = (
-    ("strategy", "strategy"),
-    ("m", "m"),
-    ("alpha", "alpha"),
-    ("lam", "lambda"),
-    ("beta", "beta"),
-    ("loss_mode", "loss_mode"),
-    ("lr", "lr"),
-    ("wd", "wd"),
-    ("momentum", "momentum"),
-    ("schedule", "schedule"),
-    ("batch_size", "batch_size"),
-    ("epochs", "epochs"),
-    ("shots", "shots"),
-    ("mode", "mode"),
-    ("seeds", "seeds"),
-    ("depth_range", "depth_range"),
-)
-
 
 def _add_config_flags(parser):
     parser.add_argument("--config", help="key = value config file, or the word 'default'")
-    parser.add_argument("--strategy", choices=("none", "shallow", "deep", "progressive"))
+    parser.add_argument("--strategy", choices=STRATEGIES)
     parser.add_argument("--m", type=int, help="prompt tokens per layer")
     parser.add_argument("--alpha", type=float, help="progressive mixing weight")
-    parser.add_argument("--lambda", dest="lam", type=float, help="re-formation loss weight")
+    parser.add_argument("--lambda", dest="lambda", type=float, help="re-formation loss weight")
     parser.add_argument("--beta", type=float, help="distillation loss weight")
     parser.add_argument("--loss-mode", choices=LOSS_MODES)
     parser.add_argument("--lr", type=float)
     parser.add_argument("--wd", type=float)
     parser.add_argument("--momentum", type=float)
-    parser.add_argument("--schedule", choices=("constant", "cosine"))
+    parser.add_argument("--schedule", choices=LR_SCHEDULES)
     parser.add_argument("--batch-size", type=int)
     parser.add_argument("--epochs", type=int)
     parser.add_argument("--shots", type=int)
-    parser.add_argument("--mode", choices=("few_shot", "base_to_novel"))
+    parser.add_argument("--mode", choices=MODES)
     parser.add_argument("--seeds", help="comma-separated run seeds")
     parser.add_argument("--depth-range", help="prompted layers, 1-based inclusive, e.g. 1..4")
 
@@ -104,8 +86,8 @@ def _add_world_flags(parser):
 def _build_train_config(args) -> TrainConfig:
     return load_config(
         args.config if args.config not in (None, "default") else None,
-        overrides={key: getattr(args, dest) for dest, key in _FLAG_KEYS
-                   if getattr(args, dest, None) is not None},
+        overrides={key: getattr(args, key) for key in _CONFIG_KEYS
+                   if getattr(args, key, None) is not None},
     )
 
 
@@ -219,19 +201,15 @@ def cmd_eval(args) -> int:
     metrics = evaluate_task(state, bank, task)
     _print_metrics(f"seed {seed}: ", metrics)
     if args.table:
-        if not {"base_accuracy", "novel_accuracy", "harmonic_mean"} <= set(metrics):
+        report = _maybe_report([{
+            "seed": seed,
+            "coordinates": config.coordinates(),
+            "eval_metrics": metrics,
+            "trainable_params": count_trainable_params(state),
+        }])
+        if report is None:
             print("table skipped: no base/novel split metrics", file=sys.stderr)
         else:
-            report = EvalReport(
-                coordinates=config.coordinates(),
-                base_accuracy=metrics["base_accuracy"],
-                novel_accuracy=metrics["novel_accuracy"],
-                harmonic_mean=metrics["harmonic_mean"],
-                per_seed={name: (metrics[name],) for name in
-                          ("base_accuracy", "novel_accuracy", "harmonic_mean")},
-                seeds=(seed,),
-                trainable_param_count=count_trainable_params(state),
-            )
             emit_table([report], format=args.format, path=args.table)
             print(f"table: {args.table}")
     return 0
@@ -428,8 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_data.set_defaults(func=cmd_make_data)
 
     p_params = sub.add_parser("params", help="trainable parameter count for a prompt shape")
-    p_params.add_argument("--strategy", default="progressive",
-                          choices=("none", "shallow", "deep", "progressive"))
+    p_params.add_argument("--strategy", default="progressive", choices=STRATEGIES)
     p_params.add_argument("--m", type=int, required=True)
     p_params.add_argument("--layers", required=True, help="1-based inclusive range, e.g. 1..12")
     p_params.add_argument("--d", type=int, required=True)

@@ -7,7 +7,9 @@ sums path contributions. Leaf tensors created with ``requires_grad=True``
 carry a zero-initialized gradient accumulator from birth; results of
 operations require gradients exactly when one of their inputs does, and
 operations whose inputs are all gradient-free record no parents at all,
-which detaches frozen computations for free.
+which detaches frozen computations for free. An operation result gets its
+gradient buffer from the backward pass that fills it, so a forward that
+never reaches :meth:`Tensor.backward` allocates none.
 
 Execution order is the insertion order of operations, so a forward pass is
 bit-deterministic for fixed inputs.
@@ -90,13 +92,18 @@ class Tensor:
         """Accumulate d(self)/d(leaf) into every reachable gradient.
 
         Only scalar roots are supported; each graph node's backward hook
-        runs exactly once, in reverse insertion order.
+        runs exactly once, in reverse insertion order. Reached operation
+        results that have no gradient buffer yet get a zeroed one here;
+        leaves already own theirs.
         """
         if self.size != 1:
             raise DimensionError(f"backward requires a scalar root, got shape {self.shape}")
         if not self.requires_grad:
             return
         order = toposort(self)
+        for node in order:
+            if node.requires_grad and node.grad is None:
+                node.grad = np.zeros_like(node.data)
         self.grad[...] = 1.0
         for node in reversed(order):
             if node._backward_fn is not None:
@@ -114,18 +121,12 @@ def _as_tensor(value):
 
 def _from_op(data, parents, backward_fn, op_name):
     """Build an operation result; drops the graph when no parent needs gradients."""
-    out = Tensor.__new__(Tensor)
-    out.data = np.ascontiguousarray(data, dtype=np.float64)
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out = Tensor(data)
     out.op = op_name
-    if out.requires_grad:
-        out.grad = np.zeros_like(out.data)
+    if any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
-    else:
-        out.grad = None
-        out._parents = ()
-        out._backward_fn = None
     return out
 
 

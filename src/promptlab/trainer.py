@@ -273,7 +273,11 @@ def prototype_bank(state: EncoderState, store, temperature: float = 0.1) -> Clas
 
 
 def _forward_features(state: EncoderState, images, stack=None) -> np.ndarray:
-    """Feature matrix for a (possibly large) image set, without gradients."""
+    """Feature matrix for a (possibly large) image set, in chunks.
+
+    No backward runs, so no gradient buffers are allocated; a graph is
+    still recorded through prompts that require gradients.
+    """
     chunks = []
     for start in range(0, len(images), _EVAL_CHUNK):
         feats = state.forward(images[start:start + _EVAL_CHUNK], stack=stack)
@@ -509,28 +513,43 @@ def run_grid(
 
 ENV_PREFIX = "PROMPTLAB_"
 
-_CONFIG_KEYS = {
-    "strategy": str,
-    "m": int,
-    "alpha": float,
-    "lambda": float,
-    "beta": float,
-    "loss_mode": str,
-    "lr": float,
-    "wd": float,
-    "momentum": float,
-    "schedule": str,
-    "batch_size": int,
-    "epochs": int,
-    "shots": int,
-    "mode": str,
-    "seeds": str,
-    "depth_range": str,
-    "eval_each_epoch": str,
-}
-
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
+
+
+def _parse_bool(value: str) -> bool:
+    lowered = value.lower()
+    if lowered in _TRUE_WORDS:
+        return True
+    if lowered in _FALSE_WORDS:
+        return False
+    raise ValueError(f"not boolean-like: {value!r}")
+
+
+def _parse_seeds(value: str) -> Tuple[int, ...]:
+    return tuple(int(s) for s in value.split(",") if s.strip() != "")
+
+
+# config key -> (TrainConfig field, or "loss.<LossConfig field>"; parser)
+_CONFIG_KEYS = {
+    "strategy": ("strategy", str),
+    "m": ("prompt_length", int),
+    "alpha": ("alpha", float),
+    "lambda": ("loss.ref_weight", float),
+    "beta": ("loss.kd_weight", float),
+    "loss_mode": ("loss.mode", str),
+    "lr": ("learning_rate", float),
+    "wd": ("weight_decay", float),
+    "momentum": ("momentum", float),
+    "schedule": ("lr_schedule", str),
+    "batch_size": ("batch_size", int),
+    "epochs": ("max_epochs", int),
+    "shots": ("shots", int),
+    "mode": ("mode", str),
+    "seeds": ("seeds", _parse_seeds),
+    "depth_range": ("depth_range", parse_depth_range),
+    "eval_each_epoch": ("eval_each_epoch", _parse_bool),
+}
 
 
 def load_config(path=None, overrides=None, env=None) -> TrainConfig:
@@ -571,64 +590,22 @@ def _parse_config_file(path) -> Dict[str, str]:
     return mapping
 
 
-def _parse_bool(value: str, key: str) -> bool:
-    lowered = value.lower()
-    if lowered in _TRUE_WORDS:
-        return True
-    if lowered in _FALSE_WORDS:
-        return False
-    raise ConfigError(f"{key} must be boolean-like, got {value!r}")
-
-
 def _config_from_keys(merged: Dict[str, str]) -> TrainConfig:
-    for key in merged:
+    """TrainConfig from the keys present; every absent key keeps its dataclass default."""
+    fields: Dict[str, object] = {}
+    loss_fields: Dict[str, object] = {}
+    for key, text in merged.items():
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-
-    def get(key, default=None):
-        if key not in merged:
-            return default
-        caster = _CONFIG_KEYS[key]
+        name, parse = _CONFIG_KEYS[key]
         try:
-            return caster(merged[key])
+            value = parse(text)
+        except ConfigError:
+            raise
         except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: cannot parse {merged[key]!r}") from exc
-
-    strategy = get("strategy", "progressive")
-    loss_mode = get("loss_mode", "ref")
-    loss = LossConfig(
-        mode=loss_mode,
-        ref_weight=get("lambda", 1.0),
-        kd_weight=get("beta", 1.0),
-    )
-    seeds_text = get("seeds")
-    if seeds_text is None:
-        seeds: Tuple[int, ...] = (0, 1, 2)
-    else:
-        try:
-            seeds = tuple(int(s) for s in seeds_text.split(",") if s.strip() != "")
-        except ValueError as exc:
-            raise ConfigError(f"seeds must be comma-separated integers, got {seeds_text!r}") from exc
-    alpha = get("alpha", 0.1) if strategy == "progressive" else None
-    depth_text = get("depth_range")
-    kwargs = dict(
-        strategy=strategy,
-        prompt_length=get("m", 8),
-        alpha=alpha,
-        learning_rate=get("lr", 0.05),
-        weight_decay=get("wd", 0.0005),
-        momentum=get("momentum", 0.9),
-        batch_size=get("batch_size", 32),
-        max_epochs=get("epochs"),
-        lr_schedule=get("schedule", "cosine"),
-        shots=get("shots", 16),
-        mode=get("mode", "base_to_novel"),
-        seeds=seeds,
-        loss=loss,
-    )
-    if depth_text is not None:
-        kwargs["depth_range"] = parse_depth_range(depth_text)
-    if "eval_each_epoch" in merged:
-        kwargs["eval_each_epoch"] = _parse_bool(merged["eval_each_epoch"], "eval_each_epoch")
-    return TrainConfig(**kwargs)
-
+            raise ConfigError(f"config key {key!r}: cannot parse {text!r}") from exc
+        owner, _, name = name.rpartition(".")
+        (loss_fields if owner == "loss" else fields)[name] = value
+    if fields.get("strategy", TrainConfig.strategy) != "progressive":
+        fields["alpha"] = None
+    return TrainConfig(loss=LossConfig(**loss_fields), **fields)

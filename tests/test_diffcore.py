@@ -90,6 +90,18 @@ def test_off_path_node_keeps_zero_grad():
     assert np.allclose(x.grad, 2 * np.ones(3))
 
 
+def test_op_results_get_grad_buffers_from_backward():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    h = dc.mul(x, x)
+    y = dc.tensor_sum(dc.scale(h, 3.0))
+    assert h.requires_grad and y.requires_grad
+    assert h.grad is None and y.grad is None
+    y.backward()
+    assert np.array_equal(y.grad, [1.0])
+    assert np.allclose(h.grad, [3.0, 3.0])
+    assert np.allclose(x.grad, [6.0, -12.0])
+
+
 def test_matmul_shape_mismatch_reports_shapes():
     a = Tensor(np.zeros((2, 3)))
     b = Tensor(np.zeros((4, 5)))

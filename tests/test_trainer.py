@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from promptlab import diffcore as dc
 from promptlab.data import (
     FewShotTask,
     SyntheticTaskSpec,
@@ -14,6 +15,7 @@ from promptlab.heads import ClassEmbeddingBank, LossConfig
 from promptlab.trainer import (
     SGD,
     TrainConfig,
+    _forward_features,
     epochs_for_shots,
     evaluate_task,
     load_config,
@@ -343,6 +345,24 @@ def test_evaluate_task_metric_keys(encoder, bank):
         harmonic_mean(b2n["base_accuracy"], b2n["novel_accuracy"]))
 
 
+def test_forward_features_allocate_no_grad_buffers(encoder, monkeypatch):
+    original = dc._from_op
+    buffered = []
+
+    def recording(*args, **kwargs):
+        out = original(*args, **kwargs)
+        buffered.append(out.grad is not None)
+        return out
+
+    monkeypatch.setattr(dc, "_from_op", recording)
+    stack = _short_config().prompt_stack(ENC_CFG.width, seed=0)
+    assert all(tensor.requires_grad for _, tensor in stack.parameters())
+    state = EncoderState(encoder.config, encoder.weights, stack)
+    feats = _forward_features(state, _episode().train_images)
+    assert feats.shape[1] == ENC_CFG.output_dim
+    assert buffered and not any(buffered)
+
+
 def test_prototype_bank_rows_are_frozen_prototype_features(encoder):
     store = generate_dataset(SPEC, 0)
     bank = prototype_bank(encoder, store, temperature=0.1)
@@ -580,6 +600,8 @@ def test_config_rejects_unparseable_values():
         load_config(overrides={"seeds": "0,x"}, env={})
     with pytest.raises(ConfigError):
         load_config(overrides={"eval_each_epoch": "maybe"}, env={})
+    with pytest.raises(ConfigError):
+        load_config(overrides={"strategy": "deep", "alpha": "abc"}, env={})
 
 
 def test_non_progressive_config_drops_alpha():
