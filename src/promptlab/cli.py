@@ -223,10 +223,6 @@ def _parse_axis(text: str):
     items = [v.strip() for v in values.split(",") if v.strip()]
     if not items:
         raise ConfigError(f"axis {name!r} has no values")
-    if name in ("alpha", "lambda"):
-        return name, [float(v) for v in items]
-    if name == "shots":
-        return name, [int(v) for v in items]
     return name, items
 
 
@@ -382,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.set_defaults(func=cmd_grid)
 
     p_check = sub.add_parser("grad-check", help="finite-difference gradient verification")
-    p_check.add_argument("--config", help="accepted for symmetry; 'default' uses built-ins")
     p_check.add_argument("--loss-mode", choices=LOSS_MODES + ("all",), default="all")
     p_check.add_argument("--step", type=float, default=1e-5)
     p_check.add_argument("--tolerance", type=float, default=1e-4)

@@ -218,23 +218,16 @@ def sample_k_shot(store: SampleStore, k: int, seed, mode: str = "few_shot") -> F
 
     taken = np.zeros(len(store.ids), dtype=bool)
     taken[np.searchsorted(store.ids, train_ids)] = True
-    rest_base, rest_novel = [], []
-    for idx, (sample_id, label) in enumerate(zip(store.ids, store.labels)):
-        if taken[idx]:
-            continue
-        side = store.split.side_of(int(label))
-        (rest_base if side == "base" else rest_novel).append(idx)
+    is_base = np.isin(store.labels, store.split.base)
+    rest_base = np.flatnonzero(~taken & is_base)
+    rest_novel = np.flatnonzero(~taken & ~is_base)
 
-    if not rest_base and not rest_novel:
+    if rest_base.size == 0 and rest_novel.size == 0:
         warnings.warn(
             f"k={k} consumed every sample; test pools are empty", RuntimeWarning, stacklevel=2
         )
 
-    def gather(indices):
-        idx = np.array(indices, dtype=np.int64)
-        if idx.size == 0:
-            shape = (0,) + store.samples.shape[1:]
-            return np.empty(shape), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    def gather(idx):
         return store.samples[idx], store.labels[idx], store.ids[idx]
 
     train_images, train_labels = store.take(train_ids)

@@ -50,7 +50,12 @@ __all__ = [
 
 
 class _ClampCounter:
-    """Running count of probability clamps; reset between runs by the trainer."""
+    """Running count of probability clamps, never reset by the program.
+
+    Callers take the difference of two reads: the trainer records the
+    clamps of one run as the count at its end minus the count at its
+    start. `reset()` is for tests that want a clean count.
+    """
 
     def __init__(self):
         self.count = 0

@@ -134,6 +134,12 @@ class TrainConfig:
         first, last = self.depth_range
         if first < 1 or last < first:
             raise ConfigError(f"depth_range must satisfy 1 <= first <= last, got {self.depth_range}")
+        # Only the progressive strategy mixes with alpha; a progressive
+        # config without one takes the class default.
+        if self.strategy != "progressive":
+            object.__setattr__(self, "alpha", None)
+        elif self.alpha is None:
+            object.__setattr__(self, "alpha", TrainConfig.alpha)
 
     def active_layers(self) -> Tuple[int, ...]:
         first, last = self.depth_range
@@ -146,7 +152,7 @@ class TrainConfig:
             self.prompt_length,
             width,
             active_layers=self.active_layers(),
-            alpha=self.alpha if self.strategy == "progressive" else None,
+            alpha=self.alpha,
             seed=seed,
         )
 
@@ -160,7 +166,7 @@ class TrainConfig:
         return {
             "strategy": self.strategy,
             "m": self.prompt_length,
-            "alpha": self.alpha if self.strategy == "progressive" else None,
+            "alpha": self.alpha,
             "loss_mode": self.loss.mode,
             "lambda": self.loss.ref_weight if self.loss.mode == "ref" else None,
             "beta": self.loss.kd_weight if self.loss.mode == "kd" else None,
@@ -429,25 +435,6 @@ def _assert_frozen_untouched(state: EncoderState) -> None:
 _GRID_AXES = ("alpha", "lambda", "depth_range", "strategy", "shots")
 
 
-def _apply_axis(config: TrainConfig, axis: str, value) -> TrainConfig:
-    if axis == "alpha":
-        return replace(config, alpha=value)
-    if axis == "lambda":
-        return replace(config, loss=replace(config.loss, ref_weight=value))
-    if axis == "depth_range":
-        pair = parse_depth_range(value) if isinstance(value, str) else tuple(value)
-        return replace(config, depth_range=pair)
-    if axis == "strategy":
-        if value != "progressive":
-            return replace(config, strategy=value, alpha=None)
-        # A non-progressive base carries no alpha; use TrainConfig's default.
-        alpha = TrainConfig.alpha if config.alpha is None else config.alpha
-        return replace(config, strategy=value, alpha=alpha)
-    if axis == "shots":
-        return replace(config, shots=value)
-    raise ConfigError(f"unknown grid axis {axis!r}; expected one of {_GRID_AXES}")
-
-
 def run_grid(
     axes: Dict[str, Sequence],
     base: TrainConfig,
@@ -457,11 +444,14 @@ def run_grid(
 ) -> List[Dict[str, object]]:
     """Train the Cartesian product of `axes` values x `base.seeds`.
 
-    Each cell gets a fresh dataset/episode per seed and an independently
-    initialized prompt stack. `bank_factory(encoder, store)` supplies the
-    class embeddings for each seed's dataset; the default embeds the
-    store's prototypes through the frozen encoder. Failing runs are
-    recorded with their error and do not stop the grid.
+    Axis values are config text, parsed like the values of a config file
+    (any value whose str() parses will do); a value that does not parse
+    fails only its own cell. Each cell gets a fresh dataset/episode per
+    seed and an independently initialized prompt stack.
+    `bank_factory(encoder, store)` supplies the class embeddings for each
+    seed's dataset; the default embeds the store's prototypes through the
+    frozen encoder. Failing runs are recorded with their error and do not
+    stop the grid.
     """
     for axis in axes:
         if axis not in _GRID_AXES:
@@ -474,14 +464,13 @@ def run_grid(
     cells: List[Dict[str, object]] = []
     combos = itertools.product(*(axes[name] for name in names)) if names else [()]
     for combo in combos:
+        keys = {axis: str(value) for axis, value in zip(names, combo)}
         try:
-            config = base
-            for axis, value in zip(names, combo):
-                config = _apply_axis(config, axis, value)
+            config = _apply_keys(base, keys)
         except PromptLabError as exc:
             cells.append(
                 {
-                    "coordinates": dict(zip(names, combo)),
+                    "coordinates": keys,
                     "records": [],
                     "failures": [{"seed": "*", "error": f"{type(exc).__name__}: {exc}"}],
                 }
@@ -567,7 +556,7 @@ def load_config(path=None, overrides=None, env=None) -> TrainConfig:
             merged[key] = env[env_name]
     for key, value in (overrides or {}).items():
         merged[key] = str(value)
-    return _config_from_keys(merged)
+    return _apply_keys(TrainConfig(), merged)
 
 
 def _parse_config_file(path) -> Dict[str, str]:
@@ -590,11 +579,11 @@ def _parse_config_file(path) -> Dict[str, str]:
     return mapping
 
 
-def _config_from_keys(merged: Dict[str, str]) -> TrainConfig:
-    """TrainConfig from the keys present; every absent key keeps its dataclass default."""
+def _apply_keys(config: TrainConfig, keys: Dict[str, str]) -> TrainConfig:
+    """`config` with each textual key parsed into its field; absent keys keep theirs."""
     fields: Dict[str, object] = {}
     loss_fields: Dict[str, object] = {}
-    for key, text in merged.items():
+    for key, text in keys.items():
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         name, parse = _CONFIG_KEYS[key]
@@ -606,6 +595,4 @@ def _config_from_keys(merged: Dict[str, str]) -> TrainConfig:
             raise ConfigError(f"config key {key!r}: cannot parse {text!r}") from exc
         owner, _, name = name.rpartition(".")
         (loss_fields if owner == "loss" else fields)[name] = value
-    if fields.get("strategy", TrainConfig.strategy) != "progressive":
-        fields["alpha"] = None
-    return TrainConfig(loss=LossConfig(**loss_fields), **fields)
+    return replace(config, loss=replace(config.loss, **loss_fields), **fields)

@@ -54,7 +54,7 @@ def test_params_none_is_zero(capsys):
 # ---------------------------------------------------------------------------
 
 def test_grad_check_default_passes_all_modes(capsys):
-    assert main(["grad-check", "--config", "default"]) == 0
+    assert main(["grad-check"]) == 0
     out = capsys.readouterr().out
     for mode in ("ce_only", "ref", "kd"):
         assert f"{mode}: max relative error" in out
@@ -201,6 +201,16 @@ def test_grid_reports_marked_failures_but_continues(tmp_path, capsys):
                  "--axis", "alpha=0.1,7.0"]) == 0
     captured = capsys.readouterr()
     assert "failed" in captured.err
+    assert "2 cells, 1 runs, 1 failed" in captured.out
+
+
+def test_grid_unparseable_axis_value_fails_only_its_cell(capsys):
+    assert main(["grid", *TRAIN, "--seeds", "0",
+                 "--axis", "alpha=0.1,x"]) == 0
+    captured = capsys.readouterr()
+    failed = [line for line in captured.err.splitlines() if line.startswith("failed:")]
+    assert len(failed) == 1
+    assert "'x'" in failed[0] and "ConfigError" in failed[0]
     assert "2 cells, 1 runs, 1 failed" in captured.out
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -607,6 +609,8 @@ def test_config_rejects_unparseable_values():
 def test_non_progressive_config_drops_alpha():
     config = load_config(overrides={"strategy": "deep"}, env={})
     assert config.alpha is None
+    assert TrainConfig(strategy="deep", alpha=0.5).alpha is None
+    assert replace(TrainConfig(strategy="deep", alpha=None), strategy="progressive").alpha == 0.1
 
 
 def test_kd_config_wires_beta():
