@@ -15,20 +15,11 @@ import numpy as np
 from . import diffcore as dc
 from .checkpoint import load_tensors, save_tensors
 from .data import MODES, SyntheticTaskSpec, generate_dataset, sample_k_shot, save_dataset
-from .diffcore import Tensor, finite_difference_check
+from .diffcore import finite_difference_check
 from .encoder import STRATEGIES, EncoderConfig, EncoderState, PromptStack, count_trainable_params
 from .errors import ConfigError, PromptLabError
 from .evaluate import EvalReport, aggregate_seeds, emit_table, export_embeddings
-from .heads import (
-    LOSS_MODES,
-    ClassEmbeddingBank,
-    LossConfig,
-    cosine_logits,
-    cross_entropy,
-    kd_loss,
-    reformation_loss,
-    total_loss,
-)
+from .heads import LOSS_MODES, ClassEmbeddingBank, step_loss
 from .trainer import (
     LR_SCHEDULES,
     TrainConfig,
@@ -264,40 +255,39 @@ def cmd_grid(args) -> int:
     return 0
 
 
-def run_grad_check(loss_mode: str, step: float = 1e-5, tolerance: float = 1e-4, seed: int = 0):
-    """Finite-difference check of d(total loss)/d(prompts), all layers at once.
+def run_grad_check(loss_mode: str, step: float = 1e-5, tolerance: float = 1e-4, seed: int = 0,
+                   strategy: str = "progressive", depth_range=(1, 2)):
+    """Finite-difference check of the training loss's gradient in all prompts at once.
 
-    Uses a 2-layer width-16 encoder, a 3-image batch, and progressive
-    prompts on both layers, so the checked path covers patch embedding,
-    attention, the progressive recurrence, and the chosen loss mode.
+    Differentiates `heads.step_loss`, the loss `train` minimizes, on a
+    width-16 encoder of depth `depth_range[1]` with a 3-image batch and
+    m=2 prompts of `strategy` on blocks `depth_range` (1-based,
+    inclusive). The default, progressive prompts on both blocks of a
+    2-block encoder, covers patch embedding, attention, the progressive
+    recurrence and the chosen loss mode.
     """
-    cfg = EncoderConfig(depth=2, width=16, heads=2, patch_count=4, patch_dim=6,
+    config = load_config(env={}, overrides={
+        "strategy": strategy, "m": 2, "loss_mode": loss_mode,
+        "depth_range": f"{depth_range[0]}..{depth_range[1]}",
+    })
+    cfg = EncoderConfig(depth=depth_range[1], width=16, heads=2, patch_count=4, patch_dim=6,
                         output_dim=8, seed=seed + 11)
-    stack = PromptStack.create("progressive", 2, cfg.width, active_layers=(0, 1),
-                               alpha=0.1, seed=seed + 13)
+    stack = config.prompt_stack(cfg.width, seed + 13)
     state = EncoderState.create(cfg, stack)
     bank = ClassEmbeddingBank.generate(3, cfg.output_dim, seed=seed + 17, temperature=0.2)
     rng = np.random.default_rng(seed + 19)
     images = rng.normal(size=(3, cfg.patch_count, cfg.patch_dim))
     labels = np.array([0, 1, 2])
-    loss_config = LossConfig(mode=loss_mode, ref_weight=1.0, kd_weight=1.0)
     frozen = state.forward(images, stack=PromptStack.none()).data
-    length = stack.length
+    layers, m = sorted(stack.prompts), stack.length
 
     def f(x):
-        stack.prompts[0] = dc.reshape(dc.slice_axis(x, 0, 0, length), (length, cfg.width))
-        stack.prompts[1] = dc.reshape(dc.slice_axis(x, 0, length, 2 * length), (length, cfg.width))
-        feats = state.forward(images)
-        probs = cosine_logits(feats, bank)
-        ce = cross_entropy(probs, labels)
-        ref = kd = None
-        if loss_mode == "ref":
-            ref = reformation_loss(feats, Tensor(frozen))
-        elif loss_mode == "kd":
-            kd = kd_loss(probs, cosine_logits(Tensor(frozen), bank))
-        return total_loss(ce, ref, kd, loss_config)
+        for j, i in enumerate(layers):
+            stack.prompts[i] = dc.reshape(dc.slice_axis(x, 0, j * m, (j + 1) * m), (m, cfg.width))
+        loss, _ = step_loss(state.forward(images), frozen, bank, labels, config.loss)
+        return loss
 
-    x0 = np.concatenate([stack.prompts[0].data, stack.prompts[1].data], axis=0)
+    x0 = np.concatenate([stack.prompts[i].data for i in layers])
     return finite_difference_check(f, x0, step=step, tolerance=tolerance)
 
 

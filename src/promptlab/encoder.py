@@ -164,7 +164,7 @@ class PromptStack:
             )
         for name, tensor in self.parameters():
             if name not in arrays:
-                raise ConfigError(f"missing prompt tensor {name!r} in checkpoint")
+                raise CheckpointError(f"missing prompt tensor {name!r} in checkpoint")
             value = np.asarray(arrays[name], dtype=np.float64)
             if value.shape != tensor.shape:
                 raise DimensionError(

@@ -2,7 +2,8 @@
 
 The head scores an image feature against a bank of frozen unit-norm class
 embeddings (softmax over cosine similarities divided by a temperature).
-Three losses build on it:
+Three losses build on it, and `step_loss` combines them into the one
+training objective that both the trainer and the gradient check use:
 
 - cross-entropy on the head's probabilities;
 - a contrastive feature re-formation term that pulls each prompted
@@ -46,6 +47,7 @@ __all__ = [
     "reformation_loss",
     "kd_loss",
     "total_loss",
+    "step_loss",
 ]
 
 
@@ -289,3 +291,19 @@ def total_loss(ce: Tensor, ref: Optional[Tensor], kd: Optional[Tensor], config: 
         raise ConfigError("mode 'kd' needs the KL component")
     return dc.add(ce, dc.scale(kd, config.kd_weight))
 
+
+def step_loss(feats: Tensor, frozen_feats, bank: ClassEmbeddingBank, labels, config: LossConfig):
+    """The training objective of one minibatch: (total, {component: loss}).
+
+    `frozen_feats` is the frozen encoder's feature matrix of the same
+    images (unused, and may be None, in mode "ce_only"). The components
+    are "ce" plus "ref" or "kd" in those modes.
+    """
+    probs = cosine_logits(feats, bank)
+    parts = {"ce": cross_entropy(probs, labels)}
+    if config.mode == "ref":
+        parts["ref"] = reformation_loss(feats, Tensor(frozen_feats))
+    elif config.mode == "kd":
+        parts["kd"] = kd_loss(probs, cosine_logits(Tensor(frozen_feats), bank))
+    total = total_loss(parts["ce"], parts.get("ref"), parts.get("kd"), config)
+    return total, parts

@@ -28,16 +28,7 @@ from .diffcore import Tensor
 from .encoder import STRATEGIES, EncoderState, PromptStack, count_trainable_params
 from .errors import ConfigError, DivergenceError, InvariantError, PromptLabError
 from .evaluate import accuracy, harmonic_mean
-from .heads import (
-    ClassEmbeddingBank,
-    LossConfig,
-    clamp_counter,
-    cosine_logits,
-    cross_entropy,
-    kd_loss,
-    reformation_loss,
-    total_loss,
-)
+from .heads import ClassEmbeddingBank, LossConfig, clamp_counter, cosine_logits, step_loss
 
 LR_SCHEDULES = ("constant", "cosine")
 
@@ -134,12 +125,16 @@ class TrainConfig:
         first, last = self.depth_range
         if first < 1 or last < first:
             raise ConfigError(f"depth_range must satisfy 1 <= first <= last, got {self.depth_range}")
+        if self.prompt_length < 1:
+            raise ConfigError(f"prompt_length must be at least 1, got {self.prompt_length}")
         # Only the progressive strategy mixes with alpha; a progressive
         # config without one takes the class default.
         if self.strategy != "progressive":
             object.__setattr__(self, "alpha", None)
         elif self.alpha is None:
             object.__setattr__(self, "alpha", TrainConfig.alpha)
+        elif not 0.0 <= self.alpha <= 1.0:
+            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
 
     def active_layers(self) -> Tuple[int, ...]:
         first, last = self.depth_range
@@ -371,15 +366,8 @@ def train(
         for step_index, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start:start + config.batch_size]
             feats = state.forward(images[idx])
-            probs = cosine_logits(feats, sub_bank)
-            ce = cross_entropy(probs, local_labels[idx])
-            ref = kd = None
-            if config.loss.mode == "ref":
-                ref = reformation_loss(feats, Tensor(frozen_feats[idx]))
-            elif config.loss.mode == "kd":
-                frozen_probs = cosine_logits(Tensor(frozen_feats[idx]), sub_bank)
-                kd = kd_loss(probs, frozen_probs)
-            loss = total_loss(ce, ref, kd, config.loss)
+            frozen = frozen_feats[idx] if needs_frozen else None
+            loss, parts = step_loss(feats, frozen, sub_bank, local_labels[idx], config.loss)
             if not np.isfinite(loss.data).all():
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch} step {step_index} (seed {seed})"
@@ -388,18 +376,13 @@ def train(
             loss.backward()
             _assert_frozen_untouched(state)
             optimizer.step(lr_t, context=f"at epoch {epoch} step {step_index} (seed {seed})")
-            entry = {
+            steps.append({
                 "epoch": epoch,
                 "step": step_index,
                 "lr": lr_t,
-                "ce": ce.item(),
                 "total": loss.item(),
-            }
-            if ref is not None:
-                entry["ref"] = ref.item()
-            if kd is not None:
-                entry["kd"] = kd.item()
-            steps.append(entry)
+                **{k: v.item() for k, v in parts.items()},
+            })
         if config.eval_each_epoch:
             epoch_eval.append(
                 _split_accuracy(state, bank, eval_images, eval_labels, eval_classes)

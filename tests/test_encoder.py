@@ -89,7 +89,7 @@ def test_stack_state_dict_roundtrip():
     other.load_state_dict(saved)
     for key in saved:
         assert np.array_equal(saved[key], dict(other.parameters())[key].data)
-    with pytest.raises(ConfigError):
+    with pytest.raises(CheckpointError, match="prompts.layer_0"):
         other.load_state_dict({})
     bad = {k: np.zeros((1, 1)) for k in saved}
     with pytest.raises(DimensionError):

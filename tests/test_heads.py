@@ -3,6 +3,7 @@ import pytest
 
 import promptlab.diffcore as dc
 from promptlab import heads
+from promptlab.cli import run_grad_check
 from promptlab.diffcore import Tensor, finite_difference_check
 from promptlab.encoder import EncoderConfig, EncoderState, PromptStack
 from promptlab.errors import (
@@ -286,6 +287,24 @@ def test_total_loss_modes():
     assert kd_total.item() == pytest.approx(0.9)
 
 
+@pytest.mark.parametrize("mode", heads.LOSS_MODES)
+def test_step_loss_parts_and_total(mode):
+    rng = np.random.default_rng(5)
+    bank = heads.ClassEmbeddingBank.generate(3, 6, seed=6, temperature=0.2)
+    feats = dc.l2_normalize(Tensor(rng.normal(size=(4, 6)), requires_grad=True), axis=-1)
+    frozen = rng.normal(size=(4, 6))
+    frozen /= np.linalg.norm(frozen, axis=1, keepdims=True)
+    labels = np.array([0, 1, 2, 1])
+    config = heads.LossConfig(mode=mode, ref_weight=0.5, kd_weight=2.0)
+    total, parts = heads.step_loss(feats, frozen, bank, labels, config)
+    # Exactly the components a training step records next to "total".
+    assert sorted(parts) == {"ce_only": ["ce"], "ref": ["ce", "ref"], "kd": ["ce", "kd"]}[mode]
+    expected = heads.total_loss(parts["ce"], parts.get("ref"), parts.get("kd"), config)
+    assert total.item() == expected.item()
+    probs = heads.cosine_logits(feats, bank)
+    assert parts["ce"].item() == heads.cross_entropy(probs, labels).item()
+
+
 def test_total_loss_missing_components():
     ce = Tensor(np.array(0.5))
     with pytest.raises(ConfigError):
@@ -330,28 +349,10 @@ def test_ce_gradient_through_prompted_encoder():
     assert report.passed, str(report)
 
 
+@pytest.mark.parametrize("mode", heads.LOSS_MODES)
 @pytest.mark.parametrize("strategy", ["shallow", "deep", "progressive"])
-def test_gradient_through_prompts_starting_past_block_one(strategy):
+def test_gradient_through_prompts_starting_past_block_one(strategy, mode):
     # Prompts on blocks 2..3 of 3: the gradient must flow through the
     # insertion at a block whose input already went through a frozen block.
-    cfg = EncoderConfig(depth=3, width=16, heads=2, patch_count=4, patch_dim=6, output_dim=8, seed=31)
-    alpha = 0.1 if strategy == "progressive" else None
-    stack = PromptStack.create(strategy, 2, cfg.width, active_layers=(1, 2), alpha=alpha, seed=32)
-    enc = EncoderState.create(cfg, stack)
-    bank = heads.ClassEmbeddingBank.generate(3, cfg.output_dim, seed=33, temperature=0.2)
-    images = np.random.default_rng(34).normal(size=(3, cfg.patch_count, cfg.patch_dim))
-    labels = np.array([0, 1, 2])
-    frozen = Tensor(enc.forward(images, stack=PromptStack.none()).data)
-    layers, m = sorted(stack.prompts), stack.length
-
-    def f(x):
-        for j, i in enumerate(layers):
-            stack.prompts[i] = dc.reshape(dc.slice_axis(x, 0, j * m, (j + 1) * m), (m, cfg.width))
-        feats = enc.forward(images)
-        ce = heads.cross_entropy(heads.cosine_logits(feats, bank), labels)
-        ref = heads.reformation_loss(feats, frozen)
-        return heads.total_loss(ce, ref, None, heads.LossConfig(mode="ref"))
-
-    x0 = np.concatenate([stack.prompts[i].data for i in layers])
-    report = finite_difference_check(f, x0, tolerance=1e-4)
+    report = run_grad_check(mode, strategy=strategy, depth_range=(2, 3))
     assert report.passed, str(report)

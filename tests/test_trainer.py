@@ -74,6 +74,9 @@ def test_epoch_budget_rejects_unsupported_shots():
         {"depth_range": (0, 4)},
         {"depth_range": (3, 2)},
         {"strategy": "prefix"},
+        {"prompt_length": 0},
+        {"alpha": 1.5},
+        {"alpha": -0.1},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -483,6 +486,9 @@ def test_grid_marks_invalid_cell_configs(encoder, bank):
     bad = [c for c in cells if c["failures"]]
     assert len(good) == 1 and len(bad) == 1
     assert bad[0]["records"] == []
+    # Rejected at config time: one failure for the cell, not one per seed.
+    assert len(bad[0]["failures"]) == 1
+    assert bad[0]["failures"][0]["seed"] == "*"
     assert "ConfigError" in bad[0]["failures"][0]["error"]
 
 
