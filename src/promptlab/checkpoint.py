@@ -17,6 +17,7 @@ weights, ``prompts.layer_<i>`` for prompt tensors. Round-trips are exact;
 parse failures report the byte offset where the file stopped making sense.
 """
 
+import math
 import struct
 from typing import Dict
 
@@ -86,9 +87,8 @@ def load_tensors(path) -> Dict[str, np.ndarray]:
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"undecodable key at offset {key_start}: {exc}") from exc
         (rank,) = reader.unpack("<B", f"rank of {key!r}")
-        shape = reader.unpack(f"<{rank}I", f"shape of {key!r}") if rank else ()
-        payload_items = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        raw = reader.take(8 * payload_items, f"payload of {key!r}")
+        shape = reader.unpack(f"<{rank}I", f"shape of {key!r}")
+        raw = reader.take(8 * math.prod(shape), f"payload of {key!r}")
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
         if key in out:
             raise CheckpointError(f"duplicate key {key!r} at offset {key_start}")

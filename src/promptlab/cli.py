@@ -221,7 +221,11 @@ def cmd_grid(args) -> int:
     config = _build_train_config(args)
     encoder = _encoder(args)
     spec = _task_spec(args)
-    axes = dict(_parse_axis(text) for text in args.axis or [])
+    axes = {}
+    for name, values in map(_parse_axis, args.axis or []):
+        if name in axes:
+            raise ConfigError(f"axis {name!r} is given more than once")
+        axes[name] = values
     cells = run_grid(axes, config, encoder, spec, bank_factory=_bank_factory(args))
     reports = []
     all_records = []

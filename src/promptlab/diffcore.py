@@ -1,6 +1,8 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every tensor wraps a C-contiguous float64 array. Operations build an
+Every tensor wraps a C-contiguous float64 array. Operations take Tensor
+operands only; a numpy array is not coerced into a constant. softmax and
+layernorm work on the last axis, as their kernels do. Operations build an
 implicit DAG through parent links; :meth:`Tensor.backward` walks it once in
 reverse topological order and accumulates adjoints additively, so fan-out
 sums path contributions. Leaf tensors created with ``requires_grad=True``
@@ -113,12 +115,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
 
-def _as_tensor(value):
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=np.float64))
-
-
 def _from_op(data, parents, backward_fn, op_name):
     """Build an operation result; drops the graph when no parent needs gradients."""
     out = Tensor(data)
@@ -169,7 +165,6 @@ def _unbroadcast(g, shape):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     data = a.data + b.data
 
     def backward(g):
@@ -182,7 +177,6 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     data = a.data - b.data
 
     def backward(g):
@@ -195,7 +189,6 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     data = a.data * b.data
 
     def backward(g):
@@ -220,7 +213,6 @@ def scale(a, factor):
 
 def matmul(a, b):
     """Matrix product; supports a 2-d right operand or equal-batch operands."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs matrices, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -251,7 +243,6 @@ def matmul(a, b):
 
 
 def concat(tensors, axis):
-    tensors = [_as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
     extents = [t.shape[axis] for t in tensors]
 
@@ -269,7 +260,6 @@ def concat(tensors, axis):
 
 def slice_axis(x, axis, start, stop):
     """Contiguous slice along one axis; exact inverse of concat on that range."""
-    x = _as_tensor(x)
     index = [slice(None)] * x.ndim
     index[axis] = slice(start, stop)
     index = tuple(index)
@@ -283,7 +273,6 @@ def slice_axis(x, axis, start, stop):
 
 
 def reshape(x, shape):
-    x = _as_tensor(x)
     data = x.data.reshape(shape).copy()
 
     def backward(g):
@@ -294,7 +283,6 @@ def reshape(x, shape):
 
 
 def swapaxes(x, axis1, axis2):
-    x = _as_tensor(x)
     data = np.swapaxes(x.data, axis1, axis2).copy()
 
     def backward(g):
@@ -305,7 +293,6 @@ def swapaxes(x, axis1, axis2):
 
 
 def broadcast_to(x, shape):
-    x = _as_tensor(x)
     data = np.broadcast_to(x.data, shape).copy()
 
     def backward(g):
@@ -319,31 +306,19 @@ def broadcast_to(x, shape):
 # nonlinear primitives
 # ---------------------------------------------------------------------------
 
-def _move_last(x, axis):
-    return np.ascontiguousarray(np.moveaxis(x, axis, -1))
-
-
-def softmax(x, axis=-1):
-    """Numerically stable softmax along `axis`."""
-    x = _as_tensor(x)
-    axis = axis % x.ndim
-    last = x.ndim - 1
-    xm = _move_last(x.data, axis) if axis != last else x.data
-    ym = kernels.softmax_lastaxis(xm)
-    data = np.moveaxis(ym, -1, axis) if axis != last else ym
+def softmax(x):
+    """Numerically stable softmax along the last axis."""
+    data = kernels.softmax_lastaxis(x.data)
 
     def backward(g):
         if x.requires_grad:
-            gm = _move_last(g, axis) if axis != last else g
-            gxm = kernels.softmax_lastaxis_grad(ym, gm)
-            x.grad += np.moveaxis(gxm, -1, axis) if axis != last else gxm
+            x.grad += kernels.softmax_lastaxis_grad(data, g)
 
     return _from_op(data, (x,), backward, "softmax")
 
 
 def layernorm(x, gamma, beta, eps=1e-5):
     """Layer normalization over the last axis with learnable scale and shift."""
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     dim = x.shape[-1]
     if gamma.shape != (dim,) or beta.shape != (dim,):
         raise DimensionError(
@@ -367,7 +342,6 @@ def layernorm(x, gamma, beta, eps=1e-5):
 
 def gelu(x):
     """Exact erf-based GELU."""
-    x = _as_tensor(x)
     data = kernels.gelu(x.data)
 
     def backward(g):
@@ -379,7 +353,6 @@ def gelu(x):
 
 def l2_normalize(x, axis=-1):
     """Scale vectors along `axis` to unit Euclidean norm."""
-    x = _as_tensor(x)
     norms = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True))
     if np.any(norms == 0.0):
         raise DegenerateInputError("cannot normalize a zero-norm vector")
@@ -394,7 +367,6 @@ def l2_normalize(x, axis=-1):
 
 
 def log(x):
-    x = _as_tensor(x)
     data = np.log(x.data)
 
     def backward(g):
@@ -406,7 +378,6 @@ def log(x):
 
 def clamp_min(x, floor):
     """Elementwise max(x, floor); gradient passes only where x exceeds the floor."""
-    x = _as_tensor(x)
     floor = float(floor)
     data = np.maximum(x.data, floor)
     mask = x.data > floor
@@ -418,24 +389,21 @@ def clamp_min(x, floor):
     return _from_op(data, (x,), backward, "clamp_min")
 
 
-def tensor_sum(x, axis=None, keepdims=False):
-    x = _as_tensor(x)
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+def tensor_sum(x, axis=None):
+    data = x.data.sum(axis=axis)
 
     def backward(g):
         if x.requires_grad:
             if axis is None:
                 x.grad += g.reshape(()) * np.ones_like(x.data)
             else:
-                gk = g if keepdims else np.expand_dims(g, axis)
-                x.grad += np.broadcast_to(gk, x.shape)
+                x.grad += np.broadcast_to(np.expand_dims(g, axis), x.shape)
 
     return _from_op(data, (x,), backward, "sum")
 
 
 def logsumexp(x, axis=-1):
     """log of the sum of exponentials along `axis`, computed max-subtracted."""
-    x = _as_tensor(x)
     m = x.data.max(axis=axis, keepdims=True)
     shifted = np.exp(x.data - m)
     total = shifted.sum(axis=axis, keepdims=True)
@@ -451,7 +419,6 @@ def logsumexp(x, axis=-1):
 
 def take_diagonal(x):
     """Diagonal of a square matrix as a vector."""
-    x = _as_tensor(x)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise DimensionError(f"diagonal requires a square matrix, got {x.shape}")
     n = x.shape[0]

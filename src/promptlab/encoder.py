@@ -239,7 +239,7 @@ class EncoderState:
 
     def embed_patches(self, images) -> Tensor:
         """[class, patch...] token sequence with positional embeddings added."""
-        batch, single = self._as_batch(images)
+        batch = self._as_batch(images)
         cfg = self.config
         x = Tensor(batch)
         tokens = dc.matmul(x, self.weights["backbone.patch_embed.weight"])
@@ -249,23 +249,16 @@ class EncoderState:
             (batch.shape[0], 1, cfg.width),
         )
         seq = dc.concat([cls_tok, tokens], axis=1)
-        seq = dc.add(seq, self.weights["backbone.pos_embed"])
-        if single:
-            return dc.reshape(seq, seq.shape[1:])
-        return seq
+        return dc.add(seq, self.weights["backbone.pos_embed"])
 
     def _as_batch(self, images):
         arr = np.asarray(images, dtype=np.float64)
         cfg = self.config
-        single = arr.ndim == 2
-        if single:
-            arr = arr[None]
         if arr.ndim != 3 or arr.shape[1:] != (cfg.patch_count, cfg.patch_dim):
             raise DimensionError(
-                f"expected images shaped (batch, {cfg.patch_count}, {cfg.patch_dim})"
-                f" or ({cfg.patch_count}, {cfg.patch_dim}), got {arr.shape}"
+                f"expected images shaped (batch, {cfg.patch_count}, {cfg.patch_dim}), got {arr.shape}"
             )
-        return np.ascontiguousarray(arr), single
+        return np.ascontiguousarray(arr)
 
     def _attention(self, x: Tensor, prefix: str) -> Tensor:
         cfg = self.config
@@ -281,7 +274,7 @@ class EncoderState:
 
         q, k, v = proj("wq"), proj("wk"), proj("wv")
         scores = dc.scale(dc.matmul(q, dc.swapaxes(k, 2, 3)), dh ** -0.5)
-        mixed = dc.matmul(dc.softmax(scores, axis=-1), v)
+        mixed = dc.matmul(dc.softmax(scores), v)
         merged = dc.reshape(dc.swapaxes(mixed, 1, 2), (b, t, cfg.width))
         return dc.add(
             dc.matmul(merged, self.weights[f"{prefix}.attn.wo"]),
@@ -300,17 +293,16 @@ class EncoderState:
     def forward(self, images, stack: Optional[PromptStack] = None) -> Tensor:
         """Run the encoder; returns the unit-norm feature Tensor.
 
-        The features are shaped (batch, output_dim), or (output_dim,) for a
-        single image. `stack` overrides the state's own prompt stack; pass
-        ``PromptStack.none()`` for the frozen path f(x).
+        `images` is a (batch, patch_count, patch_dim) array and the features
+        are shaped (batch, output_dim). `stack` overrides the state's own
+        prompt stack; pass ``PromptStack.none()`` for the frozen path f(x).
         """
         stack = self.prompt_stack if stack is None else stack
         if stack.active_layers and stack.active_layers[-1] >= self.config.depth:
             raise ConfigError(
                 f"active layers {stack.active_layers} exceed encoder depth {self.config.depth}"
             )
-        batch, single = self._as_batch(images)
-        x = self.embed_patches(batch)
+        x = self.embed_patches(images)
         insertion = set(stack.insertion_layers())
         for i in range(self.config.depth):
             if i in insertion:
@@ -320,10 +312,7 @@ class EncoderState:
             x, self.weights["backbone.ln_final.gamma"], self.weights["backbone.ln_final.beta"]
         )
         cls_tok = dc.reshape(dc.slice_axis(ln, 1, 0, 1), (x.shape[0], self.config.width))
-        feature = dc.l2_normalize(dc.matmul(cls_tok, self.weights["backbone.proj.weight"]), axis=-1)
-        if single:
-            feature = dc.reshape(feature, (self.config.output_dim,))
-        return feature
+        return dc.l2_normalize(dc.matmul(cls_tok, self.weights["backbone.proj.weight"]), axis=-1)
 
 
 def insert_prompts(tokens: Tensor, layer_index: int, stack: PromptStack) -> Tensor:

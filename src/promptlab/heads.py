@@ -152,8 +152,8 @@ class ClassEmbeddingBank:
 def one_hot(labels, class_count) -> np.ndarray:
     """Integer labels to a float64 one-hot matrix."""
     labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise DimensionError(f"labels must be 1-d integers, got shape {labels.shape}")
+    if labels.ndim != 1 or labels.dtype.kind not in "iu":
+        raise DimensionError(f"labels must be 1-d integers, got {labels.dtype} {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= class_count):
         raise EvaluationError(
             f"labels must lie in [0, {class_count}), got range [{labels.min()}, {labels.max()}]"
@@ -164,19 +164,16 @@ def one_hot(labels, class_count) -> np.ndarray:
 
 
 def cosine_logits(features: Tensor, bank: ClassEmbeddingBank) -> Tensor:
-    """Class probabilities: softmax of (feature . class_embedding) / temperature."""
-    if features.shape[-1] != bank.dim:
+    """Class probabilities: softmax of (feature . class_embedding) / temperature.
+
+    `features` is a (batch, dim) matrix; the result is (batch, classes).
+    """
+    if features.ndim != 2 or features.shape[1] != bank.dim:
         raise DimensionError(
-            f"feature dim {features.shape[-1]} does not match bank dim {bank.dim}"
+            f"features must be (batch, {bank.dim}) to match the bank, got {features.shape}"
         )
-    single = features.ndim == 1
-    if single:
-        features = dc.reshape(features, (1, bank.dim))
     sims = dc.matmul(features, dc.swapaxes(bank.embeddings, 0, 1))
-    probs = dc.softmax(dc.scale(sims, 1.0 / bank.temperature), axis=-1)
-    if single:
-        probs = dc.reshape(probs, (bank.class_count,))
-    return probs
+    return dc.softmax(dc.scale(sims, 1.0 / bank.temperature))
 
 
 def _clamped_log(probs: Tensor, picked_values: np.ndarray, what: str) -> Tensor:
@@ -193,23 +190,18 @@ def _clamped_log(probs: Tensor, picked_values: np.ndarray, what: str) -> Tensor:
 
 
 def cross_entropy(probabilities: Tensor, labels) -> Tensor:
-    """Mean negative log-likelihood of the true classes.
-
-    `labels` may be a one-hot matrix or a vector of integer class ids.
-    """
+    """Mean negative log-likelihood of the true classes, given as integer ids."""
     if probabilities.ndim != 2:
         raise DimensionError(f"probabilities must be (batch, classes), got {probabilities.shape}")
     batch, class_count = probabilities.shape
     if batch == 0:
         raise EvaluationError("cross_entropy on an empty batch")
-    labels = np.asarray(labels)
-    if labels.ndim == 1:
-        labels = one_hot(labels, class_count)
-    if labels.shape != (batch, class_count):
+    targets = one_hot(labels, class_count)
+    if targets.shape[0] != batch:
         raise DimensionError(
-            f"labels shape {labels.shape} does not match probabilities {probabilities.shape}"
+            f"{targets.shape[0]} labels do not match probabilities {probabilities.shape}"
         )
-    picked = dc.tensor_sum(dc.mul(probabilities, Tensor(labels)), axis=1)
+    picked = dc.tensor_sum(dc.mul(probabilities, Tensor(targets)), axis=1)
     log_picked = _clamped_log(picked, picked.data, "cross_entropy")
     return dc.scale(dc.tensor_sum(log_picked), -1.0 / batch)
 

@@ -122,6 +122,8 @@ class TrainConfig:
             raise ConfigError(f"shots must be one of {SHOT_CHOICES}, got {self.shots}")
         if len(self.seeds) == 0:
             raise ConfigError("seeds must not be empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must not repeat, got {self.seeds}")
         first, last = self.depth_range
         if first < 1 or last < first:
             raise ConfigError(f"depth_range must satisfy 1 <= first <= last, got {self.depth_range}")

@@ -1,6 +1,8 @@
+import struct
+
 import pytest
 
-from promptlab.checkpoint import load_tensors
+from promptlab.checkpoint import MAGIC, VERSION, load_tensors
 from promptlab.errors import CheckpointError
 
 
@@ -8,4 +10,15 @@ def test_load_tensors_reports_offset_on_garbage(tmp_path):
     path = tmp_path / "garbage.ptc"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(CheckpointError, match="offset"):
+        load_tensors(path)
+
+
+def test_load_tensors_rejects_shape_whose_size_overflows_int64(tmp_path):
+    # (2**32-1)**2 * 8 bytes wraps around in int64; it must still read as
+    # a truncated payload, not as a negative size.
+    key = b"prompts.layer_0"
+    header = MAGIC + struct.pack("<IIH", VERSION, 1, len(key)) + key
+    path = tmp_path / "huge.ptc"
+    path.write_bytes(header + struct.pack("<B2I", 2, 2**32 - 1, 2**32 - 1))
+    with pytest.raises(CheckpointError, match="truncated.*offset"):
         load_tensors(path)

@@ -219,6 +219,12 @@ def test_grid_bad_axis_spec_exits_one(capsys):
     assert "ConfigError" in capsys.readouterr().err
 
 
+def test_grid_repeated_axis_exits_one(capsys):
+    assert main(["grid", *TRAIN, "--seeds", "0",
+                 "--axis", "alpha=0.1", "--axis", "alpha=0.3"]) == 1
+    assert "ConfigError" in capsys.readouterr().err
+
+
 def test_env_var_overrides_defaults(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PROMPTLAB_EPOCHS", "1")
     assert main(["train", *WORLD, "--m", "2", "--depth-range", "1..1",

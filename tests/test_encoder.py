@@ -105,15 +105,15 @@ def test_stack_state_dict_roundtrip():
 
 def test_embed_shapes():
     enc = EncoderState.create(CFG)
-    single = enc.embed_patches(np.zeros((CFG.patch_count, CFG.patch_dim)))
+    single = enc.embed_patches(np.zeros((1, CFG.patch_count, CFG.patch_dim)))
     batch = enc.embed_patches(_images(4))
-    assert single.shape == (CFG.patch_count + 1, CFG.width)
+    assert single.shape == (1, CFG.patch_count + 1, CFG.width)
     assert batch.shape == (4, CFG.patch_count + 1, CFG.width)
 
 
 def test_embed_zero_image_is_class_token_plus_positions():
     enc = EncoderState.create(CFG)
-    seq = enc.embed_patches(np.zeros((CFG.patch_count, CFG.patch_dim))).data
+    seq = enc.embed_patches(np.zeros((1, CFG.patch_count, CFG.patch_dim))).data[0]
     pos = enc.weights["backbone.pos_embed"].data
     cls = enc.weights["backbone.class_token"].data
     assert np.allclose(seq[0], cls + pos[0], atol=0)
@@ -183,8 +183,9 @@ def test_frozen_forward_unit_norm_and_deterministic():
 
 def test_single_image_forward_shape():
     enc = EncoderState.create(CFG)
-    f = enc.forward(_images(1)[0])
-    assert f.shape == (CFG.output_dim,)
+    assert enc.forward(_images(1)).shape == (1, CFG.output_dim)
+    with pytest.raises(DimensionError):
+        enc.forward(_images(1)[0])
 
 
 def test_insert_none_is_identity():
@@ -231,15 +232,15 @@ def test_progressive_layer2_blocks_are_instance_adaptive(inserted_blocks):
     imgs = _images(2, seed=8)
     prog = PromptStack.create("progressive", 4, CFG.width, active_layers=(0, 1, 2), alpha=0.1, seed=9)
     enc = EncoderState.create(CFG, prog)
-    ta = inserted_blocks(enc, imgs[0])
-    tb = inserted_blocks(enc, imgs[1])
+    ta = inserted_blocks(enc, imgs[:1])
+    tb = inserted_blocks(enc, imgs[1:2])
     assert np.abs(ta[0] - tb[0]).max() == 0.0
     assert np.abs(ta[1] - tb[1]).max() > 1e-6
 
     deep = PromptStack.create("deep", 4, CFG.width, active_layers=(0, 1, 2), seed=9)
     enc_d = EncoderState.create(CFG, deep)
-    da = inserted_blocks(enc_d, imgs[0])
-    db = inserted_blocks(enc_d, imgs[1])
+    da = inserted_blocks(enc_d, imgs[:1])
+    db = inserted_blocks(enc_d, imgs[1:2])
     assert np.abs(da[1] - db[1]).max() == 0.0
 
 

@@ -77,6 +77,7 @@ def test_epoch_budget_rejects_unsupported_shots():
         {"prompt_length": 0},
         {"alpha": 1.5},
         {"alpha": -0.1},
+        {"seeds": (0, 0)},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
