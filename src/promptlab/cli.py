@@ -75,11 +75,12 @@ def _add_world_flags(parser):
 
 
 def _build_train_config(args) -> TrainConfig:
-    return load_config(
-        args.config if args.config not in (None, "default") else None,
-        overrides={key: getattr(args, key) for key in _CONFIG_KEYS
-                   if getattr(args, key, None) is not None},
-    )
+    overrides = {key: getattr(args, key) for key in _CONFIG_KEYS
+                 if getattr(args, key, None) is not None}
+    if getattr(args, "seed", None) is not None:
+        overrides["seeds"] = args.seed  # --seed wins over --seeds
+    return load_config(args.config if args.config not in (None, "default") else None,
+                       overrides=overrides)
 
 
 def _task_spec(args) -> SyntheticTaskSpec:
@@ -137,11 +138,10 @@ def cmd_train(args) -> int:
     encoder = _encoder(args)
     spec = _task_spec(args)
     factory = _bank_factory(args)
-    seeds = (args.seed,) if args.seed is not None else config.seeds
     print(f"training {config.strategy} m={config.prompt_length} "
           f"shots={config.shots} mode={config.mode} epochs={config.epochs()}")
     records = []
-    for seed in seeds:
+    for seed in config.seeds:
         store = generate_dataset(spec, seed)
         bank = factory(encoder, store)
         task = sample_k_shot(store, config.shots, seed, mode=config.mode)
@@ -176,7 +176,7 @@ def _checkpointed_setup(args):
     """
     config = _build_train_config(args)
     encoder = _encoder(args)
-    seed = args.seed if args.seed is not None else config.seeds[0]
+    seed = config.seeds[0]
     store = generate_dataset(_task_spec(args), seed)
     stack = config.prompt_stack(encoder.config.width, seed)
     if args.checkpoint:

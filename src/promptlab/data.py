@@ -96,6 +96,9 @@ def split_base_novel(class_count: int, seed) -> BaseNovelSplit:
 
 
 def _stream(seed, tag: int) -> np.random.SeedSequence:
+    """The generator seed for one purpose; every data seed passes through here."""
+    if int(seed) < 0:
+        raise ConfigError(f"seeds must be non-negative, got {seed}")
     return np.random.SeedSequence(entropy=int(seed), spawn_key=(tag,))
 
 

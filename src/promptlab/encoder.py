@@ -19,9 +19,11 @@ tokens are the only trainable tensors. Four insertion strategies:
     parameters with the previous layer's prompt outputs, which makes the
     inserted block a function of the input.
 
-Token layout after insertion is always [class, prompts, patches]. Prompt
-tokens receive no positional embedding. :meth:`EncoderState.forward`
-returns only the unit-norm feature tensor.
+A :class:`PromptStack` is checked once, by its constructor, and inserts
+exactly at the layers it owns prompts for. Token layout after insertion is
+always [class, prompts, patches]. Prompt tokens receive no positional
+embedding. :meth:`EncoderState.forward` returns only the unit-norm feature
+tensor.
 """
 
 import hashlib
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-from .errors import CheckpointError, ConfigError, DimensionError, InvariantError
+from .errors import CheckpointError, ConfigError, DimensionError
 
 STRATEGIES = ("none", "shallow", "deep", "progressive")
 
@@ -63,6 +65,8 @@ class EncoderConfig:
     def __post_init__(self):
         if self.depth < 1:
             raise ConfigError(f"depth must be at least 1, got {self.depth}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.patch_count < 1:
             raise ConfigError(f"patch_count must be at least 1, got {self.patch_count}")
         if min(self.width, self.heads, self.patch_dim, self.output_dim) < 1:
@@ -78,34 +82,39 @@ class EncoderConfig:
 
 
 class PromptStack:
-    """Learnable prompt tokens plus the strategy that wires them in."""
+    """Learnable prompt tokens plus the strategy that wires them in.
+
+    The constructor is the one place the stack rules are checked
+    (:meth:`check_rules`), and `prompts` must be keyed exactly by the layers
+    the strategy owns; those owned layers are where the stack inserts.
+    """
 
     def __init__(self, strategy, length, active_layers, alpha, prompts):
+        owned = self.check_rules(strategy, length, active_layers, alpha)
+        if sorted(prompts) != list(owned):
+            raise ConfigError(f"{strategy!r} stack owns prompts on layers {owned}, got {sorted(prompts)}")
         self.strategy = strategy
         self.length = length
-        self.active_layers = active_layers
+        self.active_layers = tuple(active_layers)
         self.alpha = alpha
         self.prompts = prompts
 
-    @classmethod
-    def none(cls) -> "PromptStack":
-        return cls("none", 0, (), None, {})
+    @staticmethod
+    def check_rules(strategy, length, active_layers, alpha) -> Tuple[int, ...]:
+        """Raise ConfigError unless these describe a valid stack; return its owned layers.
 
-    @classmethod
-    def create(cls, strategy, length, width, active_layers=(), alpha=None, seed=0):
-        """Build a stack with Xavier-uniform initialized prompts.
-
-        `active_layers` is a contiguous run of 0-based block indices. For
-        `shallow` only the first of them receives parameters; for `deep`
-        and `progressive` every one does. `alpha` is meaningful (and
-        required) only for `progressive`.
+        Unless the strategy is ``none`` (owning nothing), `active_layers` is
+        a non-empty contiguous run of 0-based block indices and `length` is
+        at least 1. `alpha` lies in [0, 1] for ``progressive`` and is None
+        otherwise. ``shallow`` owns its first active layer, ``deep`` and
+        ``progressive`` own them all.
         """
         if strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
         if strategy == "none":
             if alpha is not None:
                 raise ConfigError("alpha has no meaning without prompts")
-            return cls.none()
+            return ()
 
         layers = tuple(int(i) for i in active_layers)
         if not layers:
@@ -120,32 +129,33 @@ class PromptStack:
         if strategy == "progressive":
             if alpha is None:
                 raise ConfigError("progressive strategy requires alpha")
-            alpha = float(alpha)
             if not 0.0 <= alpha <= 1.0:
                 raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
         elif alpha is not None:
             raise ConfigError(f"alpha is only stored for the progressive strategy, not {strategy!r}")
+        return layers[:1] if strategy == "shallow" else layers
 
-        owners = layers[:1] if strategy == "shallow" else layers
+    @classmethod
+    def none(cls) -> "PromptStack":
+        return cls("none", 0, (), None, {})
+
+    @classmethod
+    def create(cls, strategy, length, width, active_layers=(), alpha=None, seed=0):
+        """Build a stack with Xavier-uniform initialized prompts on its owned layers."""
+        owners = cls.check_rules(strategy, length, active_layers, alpha)
+        if not owners:
+            return cls.none()
         rng = np.random.default_rng(seed)
         bound = np.sqrt(6.0 / (length + width))
         prompts = {
             i: Tensor(rng.uniform(-bound, bound, size=(length, width)), requires_grad=True)
             for i in owners
         }
-        return cls(strategy, int(length), layers, alpha, prompts)
-
-    @property
-    def first_layer(self) -> Optional[int]:
-        return self.active_layers[0] if self.active_layers else None
+        return cls(strategy, int(length), active_layers, alpha, prompts)
 
     def insertion_layers(self) -> Tuple[int, ...]:
-        """Block indices where this stack modifies the token sequence."""
-        if self.strategy == "none":
-            return ()
-        if self.strategy == "shallow":
-            return self.active_layers[:1]
-        return self.active_layers
+        """Block indices where this stack modifies the token sequence: its owned layers."""
+        return tuple(sorted(self.prompts))
 
     def parameters(self):
         """(name, tensor) pairs in a stable order."""
@@ -170,14 +180,14 @@ class PromptStack:
                 raise DimensionError(
                     f"prompt {name!r} has shape {value.shape}, expected {tensor.shape}"
                 )
+            if not np.isfinite(value).all():
+                raise CheckpointError(f"prompt tensor {name!r} holds non-finite values")
             tensor.data[...] = value
 
 
 def progressive_combine(fresh: Tensor, prev_output: Tensor, alpha) -> Tensor:
     """(1 - alpha) * fresh + alpha * prev_output, differentiable in both."""
     alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
     if fresh.shape[-2:] != prev_output.shape[-2:]:
         raise DimensionError(
             f"prompt blocks disagree: {fresh.shape} vs {prev_output.shape}"
@@ -200,10 +210,6 @@ class EncoderState:
     @classmethod
     def create(cls, config: EncoderConfig, prompt_stack: Optional[PromptStack] = None) -> "EncoderState":
         stack = prompt_stack if prompt_stack is not None else PromptStack.none()
-        if stack.active_layers and stack.active_layers[-1] >= config.depth:
-            raise ConfigError(
-                f"active layers {stack.active_layers} exceed encoder depth {config.depth}"
-            )
         rng = np.random.default_rng(config.seed)
         d, dh = config.width, 4 * config.width
 
@@ -316,40 +322,25 @@ class EncoderState:
 
 
 def insert_prompts(tokens: Tensor, layer_index: int, stack: PromptStack) -> Tensor:
-    """Place the effective prompt block for `layer_index` into `tokens`.
+    """Place the effective prompt block for `layer_index`, one of the stack's owned layers.
 
-    Returns the new token sequence. At the first active layer the fresh
-    parameters are spliced between the class token and the patches; at
-    later active layers the incoming sequence carries the previous layer's
-    prompt outputs at positions [1, 1+m), which are consumed here:
-    discarded by `deep`, interpolated by `progressive`.
+    Returns the new token sequence. At the first owned layer the fresh
+    parameters are spliced in between the class token and the patches. A
+    later owned layer finds the previous layer's prompt outputs at
+    positions [1, 1+m); `deep` replaces them with its fresh parameters and
+    `progressive` with (1 - alpha) * fresh + alpha * outputs.
     """
     if stack.strategy == "none":
         return tokens
     m = stack.length
     batch, seq_len, width = tokens.shape
-    first = stack.first_layer
-
-    if layer_index == first:
-        fresh = stack.prompts[layer_index]
-        block = dc.broadcast_to(dc.reshape(fresh, (1, m, width)), (batch, m, width))
-        tail = dc.slice_axis(tokens, 1, 1, seq_len)
+    first = layer_index == min(stack.prompts)
+    fresh = stack.prompts[layer_index]
+    if stack.strategy == "progressive" and not first:
+        block = progressive_combine(fresh, dc.slice_axis(tokens, 1, 1, 1 + m), stack.alpha)
     else:
-        if stack.strategy == "shallow":
-            raise InvariantError("shallow stacks insert only at their first active layer")
-        if layer_index - 1 not in stack.insertion_layers():
-            raise InvariantError(
-                f"layer {layer_index} expects prompt outputs from layer {layer_index - 1}, "
-                "but the stack inserts no prompts there"
-            )
-        fresh = stack.prompts[layer_index]
-        if stack.strategy == "deep":
-            block = dc.broadcast_to(dc.reshape(fresh, (1, m, width)), (batch, m, width))
-        else:
-            prev = dc.slice_axis(tokens, 1, 1, 1 + m)
-            block = progressive_combine(fresh, prev, stack.alpha)
-        tail = dc.slice_axis(tokens, 1, 1 + m, seq_len)
-
+        block = dc.broadcast_to(dc.reshape(fresh, (1, m, width)), (batch, m, width))
+    tail = dc.slice_axis(tokens, 1, 1 if first else 1 + m, seq_len)
     head = dc.slice_axis(tokens, 1, 0, 1)
     return dc.concat([head, block, tail], axis=1)
 

@@ -9,7 +9,7 @@ mean, and reports enforce that bound at construction.
 import csv
 import io
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -131,7 +131,6 @@ class EvalReport:
     base_accuracy: float
     novel_accuracy: float
     harmonic_mean: float
-    per_seed: Dict[str, Tuple[float, ...]] = field(default_factory=dict)
     seeds: Tuple[int, ...] = ()
     trainable_param_count: int = 0
 
@@ -148,9 +147,7 @@ class EvalReport:
 
     @property
     def seed_count(self) -> int:
-        return len(self.seeds) if self.seeds else max(
-            (len(v) for v in self.per_seed.values()), default=1
-        )
+        return len(self.seeds)
 
     @classmethod
     def from_records(cls, records: Sequence[Dict[str, object]]) -> "EvalReport":
@@ -160,10 +157,6 @@ class EvalReport:
         for needed in ("base_accuracy", "novel_accuracy", "harmonic_mean"):
             if needed not in metrics:
                 raise AggregationError(f"records lack the {needed!r} metric")
-        per_seed = {
-            name: tuple(float(r["eval_metrics"][name]) for r in records)
-            for name in ("base_accuracy", "novel_accuracy", "harmonic_mean")
-        }
         params = {r["trainable_params"] for r in records}
         if len(params) > 1:
             raise AggregationError(f"records disagree on trainable_params: {sorted(params)}")
@@ -172,7 +165,6 @@ class EvalReport:
             base_accuracy=metrics["base_accuracy"].mean,
             novel_accuracy=metrics["novel_accuracy"].mean,
             harmonic_mean=metrics["harmonic_mean"].mean,
-            per_seed=per_seed,
             seeds=tuple(int(s) for s in summary["seeds"]),
             trainable_param_count=int(params.pop()) if params else 0,
         )

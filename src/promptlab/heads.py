@@ -127,6 +127,8 @@ class ClassEmbeddingBank:
         """
         if class_count < 1:
             raise ConfigError(f"class_count must be positive, got {class_count}")
+        if seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {seed}")
         rng = np.random.default_rng(seed)
         rows = []
         attempts = 0
@@ -267,8 +269,8 @@ class LossConfig:
             raise ConfigError(f"unknown loss mode {self.mode!r}; expected one of {LOSS_MODES}")
         if not 0.0 <= self.ref_weight <= 1.0:
             raise ConfigError(f"ref_weight must lie in [0, 1], got {self.ref_weight}")
-        if self.kd_weight < 0.0:
-            raise ConfigError(f"kd_weight must be non-negative, got {self.kd_weight}")
+        if not 0.0 <= self.kd_weight < np.inf:
+            raise ConfigError(f"kd_weight must be finite and non-negative, got {self.kd_weight}")
 
 
 def total_loss(ce: Tensor, ref: Optional[Tensor], kd: Optional[Tensor], config: LossConfig) -> Tensor:

@@ -6,8 +6,8 @@ classes, and a k-shot episode. Per epoch the train set is reshuffled with
 ``seed + epoch``; each minibatch runs the prompted path, optionally the
 frozen path (for the re-formation and distillation losses), and one SGD
 step on the prompts alone. Every step is logged with its exact loss
-components; wall-clock time is kept on the record but never serialized,
-so that identical seeds give byte-identical record files.
+components, and nothing time-dependent is recorded, so identical seeds
+give byte-identical record files.
 
 Frozen features of the train set are computed once per run and reused:
 the frozen path takes no gradients and is deterministic, so per-batch
@@ -17,7 +17,6 @@ recomputation would produce the identical values.
 import itertools
 import json
 import os
-import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -25,8 +24,8 @@ import numpy as np
 
 from .data import MODES, SHOT_CHOICES, FewShotTask, generate_dataset, sample_k_shot
 from .diffcore import Tensor
-from .encoder import STRATEGIES, EncoderState, PromptStack, count_trainable_params
-from .errors import ConfigError, DivergenceError, InvariantError, PromptLabError
+from .encoder import EncoderState, PromptStack, count_trainable_params
+from .errors import ConfigError, DivergenceError, EvaluationError, InvariantError, PromptLabError
 from .evaluate import accuracy, harmonic_mean
 from .heads import ClassEmbeddingBank, LossConfig, clamp_counter, cosine_logits, step_loss
 
@@ -102,10 +101,8 @@ class TrainConfig:
     eval_each_epoch: bool = True
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.max_epochs is not None and self.max_epochs < 1:
@@ -114,29 +111,29 @@ class TrainConfig:
             raise ConfigError(f"unknown lr schedule {self.lr_schedule!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ConfigError(f"weight_decay must be finite and non-negative, got {self.weight_decay}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.shots not in SHOT_CHOICES:
             raise ConfigError(f"shots must be one of {SHOT_CHOICES}, got {self.shots}")
         if len(self.seeds) == 0:
             raise ConfigError("seeds must not be empty")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be non-negative, got {self.seeds}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must not repeat, got {self.seeds}")
         first, last = self.depth_range
         if first < 1 or last < first:
             raise ConfigError(f"depth_range must satisfy 1 <= first <= last, got {self.depth_range}")
-        if self.prompt_length < 1:
-            raise ConfigError(f"prompt_length must be at least 1, got {self.prompt_length}")
         # Only the progressive strategy mixes with alpha; a progressive
-        # config without one takes the class default.
+        # config without one takes the class default. The stack rules are
+        # PromptStack's own.
         if self.strategy != "progressive":
             object.__setattr__(self, "alpha", None)
         elif self.alpha is None:
             object.__setattr__(self, "alpha", TrainConfig.alpha)
-        elif not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
+        PromptStack.check_rules(self.strategy, self.prompt_length, self.active_layers(), self.alpha)
 
     def active_layers(self) -> Tuple[int, ...]:
         first, last = self.depth_range
@@ -179,7 +176,6 @@ class RunRecord:
 
     `steps` has one entry per optimizer step: epoch, step index, the
     learning rate used, and the exact ce / extra / total loss values.
-    `wall_clock_seconds` is measured but excluded from serialization.
     """
 
     seed: int
@@ -190,7 +186,6 @@ class RunRecord:
     trainable_params: int
     clamp_events: int
     prompt_state: Dict[str, np.ndarray]
-    wall_clock_seconds: float
 
     def to_json_dict(self) -> Dict[str, object]:
         out = {
@@ -295,6 +290,8 @@ def _split_accuracy(state: EncoderState, bank: ClassEmbeddingBank, images, label
     classes = list(classes)
     sub = bank.subset(classes)
     feats = _forward_features(state, images)
+    if not np.isfinite(feats).all():
+        raise EvaluationError("features are not all finite; the prompts may hold NaN or inf")
     picked = cosine_logits(Tensor(feats), sub).data.argmax(axis=1)
     predictions = np.asarray(classes)[picked]
     return accuracy(predictions, labels)
@@ -338,7 +335,6 @@ def train(
     The passed encoder is not mutated: a private state is built around the
     same frozen weights with a fresh, seed-initialized prompt stack.
     """
-    started = time.perf_counter()
     clamp_baseline = clamp_counter.count
 
     stack = config.prompt_stack(encoder.config.width, seed)
@@ -403,7 +399,6 @@ def train(
         trainable_params=count_trainable_params(state),
         clamp_events=clamp_counter.count - clamp_baseline,
         prompt_state=stack.state_dict(),
-        wall_clock_seconds=time.perf_counter() - started,
     )
 
 
@@ -464,10 +459,10 @@ def run_grid(
         records: List[RunRecord] = []
         failures: List[Dict[str, str]] = []
         for seed in config.seeds:
-            store = generate_dataset(task_spec, seed)
-            bank = bank_factory(encoder, store)
-            task = sample_k_shot(store, config.shots, seed, mode=config.mode)
             try:
+                store = generate_dataset(task_spec, seed)
+                bank = bank_factory(encoder, store)
+                task = sample_k_shot(store, config.shots, seed, mode=config.mode)
                 records.append(train(task, encoder, bank, config, seed))
             except PromptLabError as exc:
                 failures.append({"seed": str(seed), "error": f"{type(exc).__name__}: {exc}"})

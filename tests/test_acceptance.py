@@ -244,6 +244,7 @@ def test_criterion_07_progressive_prompts_adapt_per_input(inserted_blocks):
 # 8. a noiseless task trains to 100% within the shots-derived epoch budget
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_08_noiseless_task_trains_to_full_accuracy():
     cfg = EncoderConfig(depth=2, width=32, heads=4, patch_count=4,
                         patch_dim=6, output_dim=8, seed=7)
@@ -336,6 +337,7 @@ def _trend(number, name, ok, detail):
         warnings.warn(f"trend flagged: {name} ({detail})")
 
 
+@pytest.mark.slow
 def test_criterion_09_desk_scale_trends(trend_runs):
     novel_ref = [r.eval_metrics["novel_accuracy"] for r in trend_runs["ref"]]
     novel_ce = [r.eval_metrics["novel_accuracy"] for r in trend_runs["ce"]]

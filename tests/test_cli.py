@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from promptlab.checkpoint import load_tensors
+from promptlab.checkpoint import load_tensors, save_tensors
 from promptlab.cli import main, run_grad_check
 from promptlab.data import load_dataset
 from promptlab.evaluate import parse_table
@@ -214,6 +214,16 @@ def test_grid_unparseable_axis_value_fails_only_its_cell(capsys):
     assert "2 cells, 1 runs, 1 failed" in captured.out
 
 
+def test_grid_shots_the_dataset_cannot_supply_fail_only_their_cell(capsys):
+    # WORLD has 8 samples per class: enough for 1 shot, not for 16.
+    assert main(["grid", *TRAIN, "--mode", "few_shot", "--seeds", "0",
+                 "--axis", "shots=1,16"]) == 0
+    captured = capsys.readouterr()
+    failed = [line for line in captured.err.splitlines() if line.startswith("failed:")]
+    assert len(failed) == 1 and "DataError" in failed[0]
+    assert "grid: 2 cells, 1 runs, 1 failed" in captured.out
+
+
 def test_grid_bad_axis_spec_exits_one(capsys):
     assert main(["grid", *TRAIN, "--axis", "alpha"]) == 1
     assert "ConfigError" in capsys.readouterr().err
@@ -246,6 +256,36 @@ def test_flag_beats_config_file(tmp_path):
 # ---------------------------------------------------------------------------
 # export-embeddings / make-data
 # ---------------------------------------------------------------------------
+
+def test_eval_rejects_non_finite_checkpoint(tmp_path, capsys):
+    checkpoint = tmp_path / "prompts.bin"
+    assert main(["train", *TRAIN, "--seed", "0", "--epochs", "1",
+                 "--checkpoint", str(checkpoint)]) == 0
+    prompts = load_tensors(checkpoint)
+    save_tensors(checkpoint, {name: np.full_like(v, np.nan) for name, v in prompts.items()})
+    capsys.readouterr()
+    assert main(["eval", *TRAIN, "--seed", "0", "--checkpoint", str(checkpoint)]) == 1
+    captured = capsys.readouterr()
+    assert "CheckpointError" in captured.err and "accuracy" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", *TRAIN, "--seeds=-1"],
+    ["train", *TRAIN, "--seed=-1"],
+    ["train", *TRAIN, "--seed", "0", "--encoder-seed=-1"],
+    ["train", *TRAIN, "--seed", "0", "--prototype-seed=-1"],
+    ["train", *TRAIN, "--seed", "0", "--bank", "random", "--bank-seed=-1"],
+    ["eval", *TRAIN, "--seed=-1"],
+    ["export-embeddings", *TRAIN, "--seed=-1", "--out", "unused.tsv"],
+    ["make-data", *WORLD, "--seed=-1", "--out", "unused.bin"],
+], ids=["train-seeds", "train-seed", "encoder-seed", "prototype-seed", "bank-seed",
+        "eval-seed", "export-seed", "make-data-seed"])
+def test_negative_seeds_exit_one(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert "ConfigError" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
 
 def test_export_embeddings_writes_two_variants(tmp_path, capsys):
     out = tmp_path / "emb.tsv"

@@ -11,7 +11,7 @@ from promptlab.encoder import (
     insert_prompts,
     progressive_combine,
 )
-from promptlab.errors import CheckpointError, ConfigError, DimensionError, InvariantError
+from promptlab.errors import CheckpointError, ConfigError, DimensionError
 
 CFG = EncoderConfig(depth=3, width=16, heads=2, patch_count=5, patch_dim=4, output_dim=6, seed=7)
 
@@ -30,7 +30,7 @@ def test_config_rejects_indivisible_heads():
         EncoderConfig(width=30, heads=4)
 
 
-@pytest.mark.parametrize("field, value", [("depth", 0), ("patch_count", 0), ("heads", 0)])
+@pytest.mark.parametrize("field, value", [("depth", 0), ("patch_count", 0), ("heads", 0), ("seed", -1)])
 def test_config_rejects_nonpositive(field, value):
     with pytest.raises(ConfigError):
         EncoderConfig(**{field: value})
@@ -97,6 +97,10 @@ def test_stack_state_dict_roundtrip():
     extra = dict(saved, **{"prompts.layer_2": np.zeros((3, 16))})
     with pytest.raises(CheckpointError, match="prompts.layer_2"):
         other.load_state_dict(extra)
+    for value in (np.nan, np.inf):
+        corrupt = dict(saved, **{"prompts.layer_1": np.full((3, 16), value)})
+        with pytest.raises(CheckpointError, match="prompts.layer_1"):
+            other.load_state_dict(corrupt)
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +160,6 @@ def test_combine_paper_default_value():
 def test_combine_rejects_mismatch():
     with pytest.raises(DimensionError):
         progressive_combine(dc.Tensor(np.ones((2, 3))), dc.Tensor(np.ones((3, 2))), 0.5)
-    with pytest.raises(ConfigError):
-        progressive_combine(dc.Tensor(np.ones((2, 3))), dc.Tensor(np.ones((2, 3))), -0.2)
 
 
 def test_combine_routes_gradients_to_both():
@@ -244,29 +246,42 @@ def test_progressive_layer2_blocks_are_instance_adaptive(inserted_blocks):
     assert np.abs(da[1] - db[1]).max() == 0.0
 
 
-def test_progressive_missing_previous_insertion_is_invariant_error():
-    # PromptStack.create refuses gaps; a hand-built stack skipping layer 1
-    # must still be caught when layer 2 expects layer 1's prompt outputs.
+def test_progressive_gap_stack_is_config_error():
+    # A hand-built stack skipping layer 1 would leave layer 2 without the
+    # prompt outputs it mixes in; the constructor refuses it.
     built = PromptStack.create("progressive", 2, CFG.width, active_layers=(0, 1, 2), alpha=0.1, seed=1)
     prompts = {i: built.prompts[i] for i in (0, 2)}
-    stack = PromptStack("progressive", 2, (0, 2), 0.1, prompts)
-    enc = EncoderState.create(CFG)
-    with pytest.raises(InvariantError):
-        enc.forward(_images(1), stack=stack)
+    with pytest.raises(ConfigError):
+        PromptStack("progressive", 2, (0, 2), 0.1, prompts)
 
 
-def test_shallow_insert_at_later_layer_is_invariant_error():
-    stack = PromptStack.create("shallow", 2, CFG.width, active_layers=(0, 1), seed=1)
-    enc = EncoderState.create(CFG, stack)
-    tokens = enc.embed_patches(_images(1))
-    with pytest.raises(InvariantError):
-        insert_prompts(tokens, 1, stack)
+def test_shallow_stack_owning_two_layers_is_config_error():
+    built = PromptStack.create("deep", 2, CFG.width, active_layers=(0, 1), seed=1)
+    with pytest.raises(ConfigError):
+        PromptStack("shallow", 2, (0, 1), None, dict(built.prompts))
+
+
+def _prompts(*layers):
+    return {i: dc.Tensor(np.zeros((2, CFG.width)), requires_grad=True) for i in layers}
+
+
+@pytest.mark.parametrize("strategy, layers, alpha, owned", [
+    ("progressive", (0, 1), 1.5, (0, 1)),   # alpha outside [0, 1]
+    ("deep", (0, 1), 0.1, (0, 1)),          # alpha on a non-progressive stack
+    ("deep", (0, 2), None, (0, 2)),         # gap in the active layers
+    ("deep", (0, 1), None, (0,)),           # prompts keyed off the owned layers
+    ("deep", (0, 1), None, (0, 1, 2)),
+    ("shallow", (1, 2), None, (2,)),
+    ("none", (), None, (0,)),
+], ids=["alpha-1.5", "alpha-on-deep", "gap", "owned-missing", "unowned-extra",
+        "shallow-off-first", "none-with-prompts"])
+def test_hand_built_stack_checks_rules(strategy, layers, alpha, owned):
+    with pytest.raises(ConfigError):
+        PromptStack(strategy, 2, layers, alpha, _prompts(*owned))
 
 
 def test_active_layers_must_fit_depth():
     stack = PromptStack.create("deep", 2, CFG.width, active_layers=(2, 3), seed=1)
-    with pytest.raises(ConfigError):
-        EncoderState.create(CFG, stack)
     enc = EncoderState.create(CFG)
     with pytest.raises(ConfigError):
         enc.forward(_images(1), stack=stack)

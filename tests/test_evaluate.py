@@ -148,7 +148,6 @@ def test_report_from_records_averages_per_metric():
                                       _full_record(1, 90.0, 70.0)])
     assert report.base_accuracy == pytest.approx(85.0)
     assert report.novel_accuracy == pytest.approx(65.0)
-    assert report.per_seed["base_accuracy"] == (80.0, 90.0)
     assert report.seeds == (0, 1)
     assert report.seed_count == 2
     assert report.trainable_param_count == 128

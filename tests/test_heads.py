@@ -318,6 +318,9 @@ def test_loss_config_validation():
         heads.LossConfig(ref_weight=1.5)
     with pytest.raises(ConfigError):
         heads.LossConfig(kd_weight=-0.1)
+    for weight in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            heads.LossConfig(mode="kd", kd_weight=weight)
 
 
 # ---------------------------------------------------------------------------

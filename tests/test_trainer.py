@@ -12,7 +12,7 @@ from promptlab.data import (
 )
 from promptlab.diffcore import Tensor
 from promptlab.encoder import EncoderConfig, EncoderState, PromptStack, backbone_checksum
-from promptlab.errors import ConfigError, DivergenceError, InvariantError
+from promptlab.errors import ConfigError, DivergenceError, EvaluationError, InvariantError
 from promptlab.heads import ClassEmbeddingBank, LossConfig
 from promptlab.trainer import (
     SGD,
@@ -78,6 +78,11 @@ def test_epoch_budget_rejects_unsupported_shots():
         {"alpha": 1.5},
         {"alpha": -0.1},
         {"seeds": (0, 0)},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"weight_decay": float("nan")},
+        {"weight_decay": float("inf")},
+        {"seeds": (0, -1)},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -281,16 +286,6 @@ def test_passed_encoder_stack_is_not_replaced(encoder, bank):
     assert encoder.prompt_stack is stack_before
 
 
-def test_wall_clock_measured_but_not_serialized(encoder, bank, tmp_path):
-    record = train(_episode(), encoder, bank, _short_config(max_epochs=1), seed=0)
-    assert record.wall_clock_seconds > 0
-    path = tmp_path / "records.jsonl"
-    save_records(path, [record])
-    text = path.read_text()
-    assert "wall_clock" not in text
-    assert "prompt_state" not in text
-
-
 def test_record_serialization_round_trips(encoder, bank, tmp_path):
     record = train(_episode(), encoder, bank, _short_config(max_epochs=2), seed=0)
     path = tmp_path / "records.jsonl"
@@ -301,6 +296,7 @@ def test_record_serialization_round_trips(encoder, bank, tmp_path):
     assert loaded[0]["steps"] == record.steps
     assert loaded[0]["eval_metrics"] == record.eval_metrics
     assert loaded[0] == loaded[1]
+    assert "prompt_state" not in loaded[0]
 
 
 def test_record_bytes_are_deterministic(encoder, bank, tmp_path):
@@ -349,6 +345,17 @@ def test_evaluate_task_metric_keys(encoder, bank):
     from promptlab.evaluate import harmonic_mean
     assert b2n["harmonic_mean"] == pytest.approx(
         harmonic_mean(b2n["base_accuracy"], b2n["novel_accuracy"]))
+
+
+def test_non_finite_features_are_not_scored(encoder, bank):
+    # NaN prompts give NaN features, and argmax over NaN rows would pick
+    # class 0 and report a plausible accuracy.
+    stack = _short_config().prompt_stack(ENC_CFG.width, seed=0)
+    for _, tensor in stack.parameters():
+        tensor.data[...] = np.nan
+    state = EncoderState(encoder.config, encoder.weights, stack)
+    with pytest.raises(EvaluationError):
+        evaluate_task(state, bank, _episode(mode="base_to_novel"))
 
 
 def test_forward_features_allocate_no_grad_buffers(encoder, monkeypatch):
