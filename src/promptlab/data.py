@@ -76,13 +76,6 @@ class BaseNovelSplit:
     base: Tuple[int, ...]
     novel: Tuple[int, ...]
 
-    def side_of(self, class_id: int) -> str:
-        if class_id in self.base:
-            return "base"
-        if class_id in self.novel:
-            return "novel"
-        raise ConfigError(f"class {class_id} is not part of this split")
-
 
 def split_base_novel(class_count: int, seed) -> BaseNovelSplit:
     """Seeded permutation of class ids; even positions base, odd novel."""

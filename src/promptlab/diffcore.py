@@ -317,27 +317,15 @@ def softmax(x):
     return _from_op(data, (x,), backward, "softmax")
 
 
-def layernorm(x, gamma, beta, eps=1e-5):
-    """Layer normalization over the last axis with learnable scale and shift."""
-    dim = x.shape[-1]
-    if gamma.shape != (dim,) or beta.shape != (dim,):
-        raise DimensionError(
-            f"layernorm scale/shift must have shape ({dim},), got {gamma.shape} and {beta.shape}"
-        )
-    data, mean, rstd = kernels.layernorm_lastaxis(x.data, gamma.data, beta.data, eps)
+def layernorm(x, eps=1e-5):
+    """Layer normalization over the last axis, without scale or shift."""
+    data, mean, rstd = kernels.layernorm_lastaxis(x.data, eps)
 
     def backward(g):
-        gx, ggamma, gbeta = kernels.layernorm_lastaxis_grad(
-            x.data, gamma.data, mean, rstd, g
-        )
         if x.requires_grad:
-            x.grad += gx
-        if gamma.requires_grad:
-            gamma.grad += ggamma
-        if beta.requires_grad:
-            beta.grad += gbeta
+            x.grad += kernels.layernorm_lastaxis_grad(x.data, mean, rstd, g)
 
-    return _from_op(data, (x, gamma, beta), backward, "layernorm")
+    return _from_op(data, (x,), backward, "layernorm")
 
 
 def gelu(x):

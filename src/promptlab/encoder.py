@@ -2,8 +2,10 @@
 
 The backbone (patch embedding, class token, positional embeddings, N
 pre-norm transformer blocks, final projection) is generated from a seed and
-frozen; it stands in for a pretrained visual tower at desk scale. Prompt
-tokens are the only trainable tensors. Four insertion strategies:
+frozen; it stands in for a pretrained visual tower at desk scale. Its linear
+maps have no bias and its layer norms no scale or shift: a frozen tower
+drawn at desk scale would hold them as zeros and ones. Prompt tokens are
+the only trainable tensors. Four insertion strategies:
 
 ``none``
     the frozen feature path, no extra tokens.
@@ -165,13 +167,18 @@ class PromptStack:
         return {name: t.data.copy() for name, t in self.parameters()}
 
     def load_state_dict(self, arrays: Dict[str, np.ndarray]) -> None:
-        """Copy saved prompt values in; the keys must match this stack's exactly."""
+        """Copy saved prompt values in; the keys must match this stack's exactly.
+
+        Every tensor is checked before any is copied, so a refused load
+        leaves the prompts as they were.
+        """
         unexpected = sorted(set(arrays) - {name for name, _ in self.parameters()})
         if unexpected:
             raise CheckpointError(
                 f"checkpoint has prompt tensors this {self.strategy!r} stack does not own: "
                 f"{unexpected}"
             )
+        values = []
         for name, tensor in self.parameters():
             if name not in arrays:
                 raise CheckpointError(f"missing prompt tensor {name!r} in checkpoint")
@@ -182,6 +189,8 @@ class PromptStack:
                 )
             if not np.isfinite(value).all():
                 raise CheckpointError(f"prompt tensor {name!r} holds non-finite values")
+            values.append((tensor, value))
+        for tensor, value in values:
             tensor.data[...] = value
 
 
@@ -218,24 +227,14 @@ class EncoderState:
 
         w: Dict[str, Tensor] = {}
         w["backbone.patch_embed.weight"] = frozen((config.patch_dim, d), config.patch_dim ** -0.5)
-        w["backbone.patch_embed.bias"] = Tensor(np.zeros(d))
         w["backbone.class_token"] = frozen((d,), 1.0)
         w["backbone.pos_embed"] = frozen((1 + config.patch_count, d), 0.5)
         for i in range(config.depth):
             p = f"backbone.block_{i}"
-            w[f"{p}.ln1.gamma"] = Tensor(np.ones(d))
-            w[f"{p}.ln1.beta"] = Tensor(np.zeros(d))
             for name in ("wq", "wk", "wv", "wo"):
                 w[f"{p}.attn.{name}"] = frozen((d, d), d ** -0.5)
-                w[f"{p}.attn.{name}_bias"] = Tensor(np.zeros(d))
-            w[f"{p}.ln2.gamma"] = Tensor(np.ones(d))
-            w[f"{p}.ln2.beta"] = Tensor(np.zeros(d))
             w[f"{p}.mlp.w1"] = frozen((d, dh), d ** -0.5)
-            w[f"{p}.mlp.b1"] = Tensor(np.zeros(dh))
             w[f"{p}.mlp.w2"] = frozen((dh, d), dh ** -0.5)
-            w[f"{p}.mlp.b2"] = Tensor(np.zeros(d))
-        w["backbone.ln_final.gamma"] = Tensor(np.ones(d))
-        w["backbone.ln_final.beta"] = Tensor(np.zeros(d))
         w["backbone.proj.weight"] = frozen((d, config.output_dim), d ** -0.5)
         return cls(config, w, stack)
 
@@ -249,7 +248,6 @@ class EncoderState:
         cfg = self.config
         x = Tensor(batch)
         tokens = dc.matmul(x, self.weights["backbone.patch_embed.weight"])
-        tokens = dc.add(tokens, self.weights["backbone.patch_embed.bias"])
         cls_tok = dc.broadcast_to(
             dc.reshape(self.weights["backbone.class_token"], (1, 1, cfg.width)),
             (batch.shape[0], 1, cfg.width),
@@ -272,29 +270,20 @@ class EncoderState:
         h, dh = cfg.heads, cfg.head_dim
 
         def proj(name):
-            out = dc.add(
-                dc.matmul(x, self.weights[f"{prefix}.attn.{name}"]),
-                self.weights[f"{prefix}.attn.{name}_bias"],
-            )
+            out = dc.matmul(x, self.weights[f"{prefix}.attn.{name}"])
             return dc.swapaxes(dc.reshape(out, (b, t, h, dh)), 1, 2)
 
         q, k, v = proj("wq"), proj("wk"), proj("wv")
         scores = dc.scale(dc.matmul(q, dc.swapaxes(k, 2, 3)), dh ** -0.5)
         mixed = dc.matmul(dc.softmax(scores), v)
         merged = dc.reshape(dc.swapaxes(mixed, 1, 2), (b, t, cfg.width))
-        return dc.add(
-            dc.matmul(merged, self.weights[f"{prefix}.attn.wo"]),
-            self.weights[f"{prefix}.attn.wo_bias"],
-        )
+        return dc.matmul(merged, self.weights[f"{prefix}.attn.wo"])
 
     def _block(self, x: Tensor, index: int) -> Tensor:
         p = f"backbone.block_{index}"
-        normed = dc.layernorm(x, self.weights[f"{p}.ln1.gamma"], self.weights[f"{p}.ln1.beta"])
-        x = dc.add(x, self._attention(normed, p))
-        normed = dc.layernorm(x, self.weights[f"{p}.ln2.gamma"], self.weights[f"{p}.ln2.beta"])
-        hidden = dc.gelu(dc.add(dc.matmul(normed, self.weights[f"{p}.mlp.w1"]), self.weights[f"{p}.mlp.b1"]))
-        mlp = dc.add(dc.matmul(hidden, self.weights[f"{p}.mlp.w2"]), self.weights[f"{p}.mlp.b2"])
-        return dc.add(x, mlp)
+        x = dc.add(x, self._attention(dc.layernorm(x), p))
+        hidden = dc.gelu(dc.matmul(dc.layernorm(x), self.weights[f"{p}.mlp.w1"]))
+        return dc.add(x, dc.matmul(hidden, self.weights[f"{p}.mlp.w2"]))
 
     def forward(self, images, stack: Optional[PromptStack] = None) -> Tensor:
         """Run the encoder; returns the unit-norm feature Tensor.
@@ -314,10 +303,7 @@ class EncoderState:
             if i in insertion:
                 x = insert_prompts(x, i, stack)
             x = self._block(x, i)
-        ln = dc.layernorm(
-            x, self.weights["backbone.ln_final.gamma"], self.weights["backbone.ln_final.beta"]
-        )
-        cls_tok = dc.reshape(dc.slice_axis(ln, 1, 0, 1), (x.shape[0], self.config.width))
+        cls_tok = dc.reshape(dc.slice_axis(dc.layernorm(x), 1, 0, 1), (x.shape[0], self.config.width))
         return dc.l2_normalize(dc.matmul(cls_tok, self.weights["backbone.proj.weight"]), axis=-1)
 
 

@@ -90,8 +90,8 @@ class ClassEmbeddingBank:
             raise DegenerateInputError(
                 "class embeddings must be unit-norm; normalize before constructing the bank"
             )
-        if not temperature > 0:
-            raise ConfigError(f"temperature must be positive, got {temperature}")
+        if not 0 < temperature < np.inf:
+            raise ConfigError(f"temperature must be positive and finite, got {temperature}")
         self.embeddings = Tensor(arr)
         self.temperature = float(temperature)
 

@@ -29,26 +29,20 @@ def softmax_lastaxis_grad(y, g):
     return y * (g - dot)
 
 
-def layernorm_lastaxis(x, gamma, beta, eps):
-    """Layer norm over the last axis; returns (y, mean, rstd) for backward."""
+def layernorm_lastaxis(x, eps):
+    """Layer norm over the last axis, no scale or shift; returns (y, mean, rstd) for backward."""
     mean = x.mean(axis=-1, keepdims=True)
     var = ((x - mean) ** 2).mean(axis=-1, keepdims=True)
     rstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * rstd
-    return xhat * gamma + beta, mean[..., 0], rstd[..., 0]
+    return (x - mean) * rstd, mean[..., 0], rstd[..., 0]
 
 
-def layernorm_lastaxis_grad(x, gamma, mean, rstd, g):
-    """Gradients (gx, ggamma, gbeta) of the last-axis layer norm."""
+def layernorm_lastaxis_grad(x, mean, rstd, g):
+    """Input gradient of the last-axis layer norm."""
     xhat = (x - mean[..., None]) * rstd[..., None]
-    h = g * gamma
-    h_mean = h.mean(axis=-1, keepdims=True)
-    hx_mean = (h * xhat).mean(axis=-1, keepdims=True)
-    gx = rstd[..., None] * (h - h_mean - xhat * hx_mean)
-    axes = tuple(range(x.ndim - 1))
-    ggamma = (g * xhat).sum(axis=axes)
-    gbeta = g.sum(axis=axes)
-    return gx, ggamma, gbeta
+    g_mean = g.mean(axis=-1, keepdims=True)
+    gx_mean = (g * xhat).mean(axis=-1, keepdims=True)
+    return rstd[..., None] * (g - g_mean - xhat * gx_mean)
 
 
 def gelu(x):

@@ -287,6 +287,15 @@ def test_negative_seeds_exit_one(argv, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_infinite_temperature_exits_one(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *TRAIN, "--seed", "0", "--temperature", "inf"]) == 1
+    captured = capsys.readouterr()
+    assert "ConfigError" in captured.err and "temperature" in captured.err
+    assert "base_accuracy=" not in captured.out
+
+
 def test_export_embeddings_writes_two_variants(tmp_path, capsys):
     out = tmp_path / "emb.tsv"
     assert main(["export-embeddings", *TRAIN, "--seed", "0",

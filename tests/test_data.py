@@ -49,16 +49,6 @@ def test_split_rejects_tiny_class_counts():
         data.split_base_novel(1, seed=0)
 
 
-def test_split_side_lookup():
-    split = data.split_base_novel(4, seed=0)
-    for c in split.base:
-        assert split.side_of(c) == "base"
-    for c in split.novel:
-        assert split.side_of(c) == "novel"
-    with pytest.raises(ConfigError):
-        split.side_of(99)
-
-
 # ---------------------------------------------------------------------------
 # generation
 # ---------------------------------------------------------------------------

@@ -296,13 +296,8 @@ def _case_softmax(rng):
 
 
 def _case_layernorm(rng):
-    gamma = Tensor(_probe(rng, (6,)))
-    beta = Tensor(_probe(rng, (6,)))
     w = Tensor(_probe(rng, (2, 6)))
-    return (
-        lambda x: dc.tensor_sum(dc.mul(dc.layernorm(x, gamma, beta), w)),
-        _probe(rng, (2, 6)),
-    )
+    return lambda x: dc.tensor_sum(dc.mul(dc.layernorm(x), w)), _probe(rng, (2, 6))
 
 
 def _case_gelu(rng):
@@ -387,37 +382,14 @@ def test_primitive_gradients_match_differences(case):
     assert worst <= 1e-5
 
 
-def test_layernorm_scale_shift_gradients():
-    rng = np.random.default_rng(99)
-    x = Tensor(rng.normal(size=(3, 6)))
-    w = Tensor(rng.normal(size=(3, 6)))
-    beta = Tensor(rng.normal(size=(6,)))
-
-    def f_gamma(gamma):
-        return dc.tensor_sum(dc.mul(dc.layernorm(x, gamma, beta), w))
-
-    report = finite_difference_check(f_gamma, rng.normal(size=(6,)), tolerance=1e-6)
-    assert report.passed, str(report)
-
-    gamma = Tensor(rng.normal(size=(6,)))
-
-    def f_beta(b):
-        return dc.tensor_sum(dc.mul(dc.layernorm(x, gamma, b), w))
-
-    report = finite_difference_check(f_beta, rng.normal(size=(6,)), tolerance=1e-6)
-    assert report.passed, str(report)
-
-
 def test_composite_network_gradient():
     rng = np.random.default_rng(100)
     w1 = Tensor(rng.normal(size=(5, 8)))
-    gamma = Tensor(np.ones(8))
-    beta = Tensor(np.zeros(8))
     w2 = Tensor(rng.normal(size=(8, 4)))
     target = Tensor(rng.normal(size=(2, 4)))
 
     def network(x):
-        h = dc.gelu(dc.layernorm(dc.matmul(x, w1), gamma, beta))
+        h = dc.gelu(dc.layernorm(dc.matmul(x, w1)))
         out = dc.softmax(dc.matmul(h, w2))
         diff = dc.sub(out, target)
         return dc.scale(dc.tensor_sum(dc.mul(diff, diff)), 1.0 / diff.size)

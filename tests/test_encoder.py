@@ -103,6 +103,19 @@ def test_stack_state_dict_roundtrip():
             other.load_state_dict(corrupt)
 
 
+def test_refused_load_leaves_every_prompt_unchanged():
+    stack = PromptStack.create("deep", 2, 4, active_layers=(0, 1), seed=3)
+    before = stack.state_dict()
+    wrong_shape = {"prompts.layer_0": np.ones((2, 4)), "prompts.layer_1": np.ones((3, 4))}
+    with pytest.raises(DimensionError):
+        stack.load_state_dict(wrong_shape)
+    not_finite = {"prompts.layer_0": np.ones((2, 4)), "prompts.layer_1": np.full((2, 4), np.nan)}
+    with pytest.raises(CheckpointError):
+        stack.load_state_dict(not_finite)
+    for name, value in stack.state_dict().items():
+        assert value.tobytes() == before[name].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # patch embedding
 # ---------------------------------------------------------------------------
@@ -121,7 +134,7 @@ def test_embed_zero_image_is_class_token_plus_positions():
     pos = enc.weights["backbone.pos_embed"].data
     cls = enc.weights["backbone.class_token"].data
     assert np.allclose(seq[0], cls + pos[0], atol=0)
-    assert np.array_equal(seq[1:], pos[1:])  # patch bias is zero
+    assert np.array_equal(seq[1:], pos[1:])  # the patch embedding has no bias
 
 
 def test_embed_rejects_wrong_shape():
@@ -310,6 +323,18 @@ def test_forward_does_not_move_backbone_checksum():
     dc.tensor_sum(feat).backward()
     stack.prompts[0].data += 1.0  # prompt mutation must not affect the backbone digest
     assert backbone_checksum(enc) == before
+
+
+def test_default_backbone_identity_is_pinned():
+    # Checkpoints are only meaningful against the backbone they were trained
+    # on; any change to how the default backbone is drawn must show up here.
+    enc = EncoderState.create(EncoderConfig())
+    assert len(enc.weights) == 28
+    for key, tensor in enc.weights.items():
+        assert np.unique(tensor.data).size > 1, f"{key} is a constant array"
+    assert backbone_checksum(enc) == (
+        "5b33653db7744f8e2caf9e10513076c537c991428aed4883572856e36c167200"
+    )
 
 
 def test_count_trainable_params():

@@ -38,8 +38,9 @@ def test_bank_requires_unit_rows():
 
 
 def test_bank_requires_positive_temperature():
-    with pytest.raises(ConfigError):
-        heads.ClassEmbeddingBank(np.eye(2), temperature=0.0)
+    for temperature in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ConfigError):
+            heads.ClassEmbeddingBank(np.eye(2), temperature=temperature)
 
 
 def test_bank_generation_is_seeded_and_separated():
