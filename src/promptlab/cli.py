@@ -4,7 +4,8 @@ Subcommands: train, eval, grid, grad-check, export-embeddings, make-data,
 params. All randomness is governed by explicit seeds, so repeating an
 invocation with the same arguments produces byte-identical output files.
 Training options are layered by :func:`promptlab.trainer.load_config`, with
-command-line flags as its overrides.
+command-line flags as its overrides: each config key has one text flag, and
+the key's own parser is the only one that reads it.
 """
 
 import argparse
@@ -14,20 +15,18 @@ import numpy as np
 
 from . import diffcore as dc
 from .checkpoint import load_tensors, save_tensors
-from .data import MODES, SyntheticTaskSpec, generate_dataset, sample_k_shot, save_dataset
+from .data import SyntheticTaskSpec, generate_dataset, sample_k_shot, save_dataset
 from .diffcore import finite_difference_check
-from .encoder import STRATEGIES, EncoderConfig, EncoderState, PromptStack, count_trainable_params
+from .encoder import EncoderConfig, EncoderState, PromptStack, count_trainable_params
 from .errors import ConfigError, PromptLabError
 from .evaluate import EvalReport, aggregate_seeds, emit_table, export_embeddings
 from .heads import LOSS_MODES, ClassEmbeddingBank, step_loss
 from .trainer import (
-    LR_SCHEDULES,
     TrainConfig,
     _CONFIG_KEYS,
     _forward_features,
     evaluate_task,
     load_config,
-    parse_depth_range,
     prototype_bank,
     run_grid,
     save_records,
@@ -37,37 +36,25 @@ from .trainer import (
 
 def _add_config_flags(parser):
     parser.add_argument("--config", help="key = value config file, or the word 'default'")
-    parser.add_argument("--strategy", choices=STRATEGIES)
-    parser.add_argument("--m", type=int, help="prompt tokens per layer")
-    parser.add_argument("--alpha", type=float, help="progressive mixing weight")
-    parser.add_argument("--lambda", dest="lambda", type=float, help="re-formation loss weight")
-    parser.add_argument("--beta", type=float, help="distillation loss weight")
-    parser.add_argument("--loss-mode", choices=LOSS_MODES)
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--wd", type=float)
-    parser.add_argument("--momentum", type=float)
-    parser.add_argument("--schedule", choices=LR_SCHEDULES)
-    parser.add_argument("--batch-size", type=int)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--shots", type=int)
-    parser.add_argument("--mode", choices=MODES)
-    parser.add_argument("--seeds", help="comma-separated run seeds")
-    parser.add_argument("--depth-range", help="prompted layers, 1-based inclusive, e.g. 1..4")
+    for key in _CONFIG_KEYS:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key,
+                            help=f"config key {key}, parsed like its file value")
 
 
 def _add_world_flags(parser):
-    parser.add_argument("--classes", type=int, default=10)
-    parser.add_argument("--patch-count", type=int, default=16)
-    parser.add_argument("--patch-dim", type=int, default=12)
-    parser.add_argument("--samples-per-class", type=int, default=40)
-    parser.add_argument("--noise-std", type=float, default=0.3)
-    parser.add_argument("--shift", type=float, default=0.0, help="novel prototype displacement")
-    parser.add_argument("--prototype-seed", type=int, default=0)
-    parser.add_argument("--depth", type=int, default=4, help="encoder blocks")
-    parser.add_argument("--width", type=int, default=32)
-    parser.add_argument("--heads", type=int, default=4)
-    parser.add_argument("--output-dim", type=int, default=16)
-    parser.add_argument("--encoder-seed", type=int, default=0)
+    parser.add_argument("--classes", type=int, default=SyntheticTaskSpec.class_count)
+    parser.add_argument("--patch-count", type=int, default=SyntheticTaskSpec.patch_count)
+    parser.add_argument("--patch-dim", type=int, default=SyntheticTaskSpec.patch_dim)
+    parser.add_argument("--samples-per-class", type=int, default=SyntheticTaskSpec.samples_per_class)
+    parser.add_argument("--noise-std", type=float, default=SyntheticTaskSpec.noise_std)
+    parser.add_argument("--shift", type=float, default=SyntheticTaskSpec.shift_magnitude,
+                        help="novel prototype displacement")
+    parser.add_argument("--prototype-seed", type=int, default=SyntheticTaskSpec.prototype_seed)
+    parser.add_argument("--depth", type=int, default=EncoderConfig.depth, help="encoder blocks")
+    parser.add_argument("--width", type=int, default=EncoderConfig.width)
+    parser.add_argument("--heads", type=int, default=EncoderConfig.heads)
+    parser.add_argument("--output-dim", type=int, default=EncoderConfig.output_dim)
+    parser.add_argument("--encoder-seed", type=int, default=EncoderConfig.seed)
     parser.add_argument("--bank", choices=("prototype", "random"), default="prototype")
     parser.add_argument("--temperature", type=float, default=0.1)
     parser.add_argument("--bank-seed", type=int, default=0)
@@ -76,7 +63,7 @@ def _add_world_flags(parser):
 
 def _build_train_config(args) -> TrainConfig:
     overrides = {key: getattr(args, key) for key in _CONFIG_KEYS
-                 if getattr(args, key, None) is not None}
+                 if getattr(args, key) is not None}
     if getattr(args, "seed", None) is not None:
         overrides["seeds"] = args.seed  # --seed wins over --seeds
     return load_config(args.config if args.config not in (None, "default") else None,
@@ -126,11 +113,24 @@ def _print_metrics(prefix, metrics):
     print(prefix + " ".join(parts))
 
 
-def _maybe_report(records):
-    try:
-        return EvalReport.from_records(records)
-    except PromptLabError:
-        return None
+def _write_table(args, record_groups):
+    """Write one aggregated row per group of serialized records to --table, if given.
+
+    Groups without base/novel split metrics have no row.
+    """
+    if not args.table:
+        return
+    reports = []
+    for records in record_groups:
+        try:
+            reports.append(EvalReport.from_records(records))
+        except PromptLabError:
+            pass
+    if not reports:
+        print("table skipped: records lack base/novel metrics", file=sys.stderr)
+        return
+    emit_table(reports, format=args.format, path=args.table)
+    print(f"table: {args.table}")
 
 
 def cmd_train(args) -> int:
@@ -158,13 +158,7 @@ def cmd_train(args) -> int:
     if args.checkpoint:
         save_tensors(args.checkpoint, records[0].prompt_state)
         print(f"checkpoint: {args.checkpoint} (seed {records[0].seed})")
-    if args.table:
-        report = _maybe_report(serialized)
-        if report is None:
-            print("table skipped: records lack base/novel metrics", file=sys.stderr)
-        else:
-            emit_table([report], format=args.format, path=args.table)
-            print(f"table: {args.table}")
+    _write_table(args, [serialized])
     return 0
 
 
@@ -191,18 +185,12 @@ def cmd_eval(args) -> int:
     state = EncoderState(encoder.config, encoder.weights, stack)
     metrics = evaluate_task(state, bank, task)
     _print_metrics(f"seed {seed}: ", metrics)
-    if args.table:
-        report = _maybe_report([{
-            "seed": seed,
-            "coordinates": config.coordinates(),
-            "eval_metrics": metrics,
-            "trainable_params": count_trainable_params(state),
-        }])
-        if report is None:
-            print("table skipped: no base/novel split metrics", file=sys.stderr)
-        else:
-            emit_table([report], format=args.format, path=args.table)
-            print(f"table: {args.table}")
+    _write_table(args, [[{
+        "seed": seed,
+        "coordinates": config.coordinates(),
+        "eval_metrics": metrics,
+        "trainable_params": count_trainable_params(state),
+    }]])
     return 0
 
 
@@ -227,7 +215,7 @@ def cmd_grid(args) -> int:
             raise ConfigError(f"axis {name!r} is given more than once")
         axes[name] = values
     cells = run_grid(axes, config, encoder, spec, bank_factory=_bank_factory(args))
-    reports = []
+    groups = []
     all_records = []
     failed_runs = 0
     for cell in cells:
@@ -238,9 +226,7 @@ def cmd_grid(args) -> int:
         all_records.extend(cell["records"])
         if cell["records"]:
             serialized = [record.to_json_dict() for record in cell["records"]]
-            report = _maybe_report(serialized)
-            if report is not None:
-                reports.append(report)
+            groups.append(serialized)
             summary = aggregate_seeds(serialized)
             line = " ".join(f"{k}={v}" for k, v in sorted(cell["coordinates"].items())
                             if v is not None)
@@ -249,9 +235,7 @@ def cmd_grid(args) -> int:
     if args.records:
         save_records(args.records, all_records)
         print(f"records: {args.records}")
-    if args.table and reports:
-        emit_table(reports, format=args.format, path=args.table)
-        print(f"table: {args.table}")
+    _write_table(args, groups)
     if not all_records:
         print("error: every grid run failed", file=sys.stderr)
         return 1
@@ -299,7 +283,7 @@ def cmd_grad_check(args) -> int:
     modes = LOSS_MODES if args.loss_mode == "all" else (args.loss_mode,)
     ok = True
     for mode in modes:
-        report = run_grad_check(mode, step=args.step, tolerance=args.tolerance, seed=args.seed or 0)
+        report = run_grad_check(mode, step=args.step, tolerance=args.tolerance, seed=args.seed)
         status = "PASS" if report.passed else "FAIL"
         print(f"{mode}: max relative error {report.max_rel_error:.3e} {status}")
         ok = ok and report.passed
@@ -322,16 +306,16 @@ def cmd_export_embeddings(args) -> int:
 
 def cmd_make_data(args) -> int:
     spec = _task_spec(args)
-    store = generate_dataset(spec, args.seed or 0)
+    store = generate_dataset(spec, args.seed)
     save_dataset(args.out, store)
     print(f"wrote {len(store.samples)} samples "
-          f"({spec.class_count} classes, seed {args.seed or 0}) to {args.out}")
+          f"({spec.class_count} classes, seed {args.seed}) to {args.out}")
     return 0
 
 
 def cmd_params(args) -> int:
-    config = TrainConfig(strategy=args.strategy, prompt_length=args.m,
-                         depth_range=parse_depth_range(args.layers))
+    config = load_config(env={}, overrides={"strategy": args.strategy, "m": args.m,
+                                            "depth_range": args.layers})
     stack = config.prompt_stack(args.d, seed=0)
     print(sum(tensor.data.size for _, tensor in stack.parameters()))
     return 0
@@ -375,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--loss-mode", choices=LOSS_MODES + ("all",), default="all")
     p_check.add_argument("--step", type=float, default=1e-5)
     p_check.add_argument("--tolerance", type=float, default=1e-4)
-    p_check.add_argument("--seed", type=int)
+    p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(func=cmd_grad_check)
 
     p_export = sub.add_parser("export-embeddings",
@@ -395,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_data.set_defaults(func=cmd_make_data)
 
     p_params = sub.add_parser("params", help="trainable parameter count for a prompt shape")
-    p_params.add_argument("--strategy", default="progressive", choices=STRATEGIES)
-    p_params.add_argument("--m", type=int, required=True)
+    p_params.add_argument("--strategy", default=TrainConfig.strategy)
+    p_params.add_argument("--m", required=True)
     p_params.add_argument("--layers", required=True, help="1-based inclusive range, e.g. 1..12")
     p_params.add_argument("--d", type=int, required=True)
     p_params.set_defaults(func=cmd_params)

@@ -1,11 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every tensor wraps a C-contiguous float64 array. Operations take Tensor
-operands only; a numpy array is not coerced into a constant. softmax and
-layernorm work on the last axis, as their kernels do. Operations build an
-implicit DAG through parent links; :meth:`Tensor.backward` walks it once in
-reverse topological order and accumulates adjoints additively, so fan-out
-sums path contributions. Leaf tensors created with ``requires_grad=True``
+operands only; a numpy array is not coerced into a constant. softmax,
+layernorm, l2_normalize and logsumexp work on the last axis only.
+Operations build an implicit DAG through parent links;
+:meth:`Tensor.backward` walks it once in reverse topological order and
+accumulates adjoints additively, so fan-out sums path contributions. Leaf tensors created with ``requires_grad=True``
 carry a zero-initialized gradient accumulator from birth; results of
 operations require gradients exactly when one of their inputs does, and
 operations whose inputs are all gradient-free record no parents at all,
@@ -339,16 +339,16 @@ def gelu(x):
     return _from_op(data, (x,), backward, "gelu")
 
 
-def l2_normalize(x, axis=-1):
-    """Scale vectors along `axis` to unit Euclidean norm."""
-    norms = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True))
+def l2_normalize(x):
+    """Scale vectors along the last axis to unit Euclidean norm."""
+    norms = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
     if np.any(norms == 0.0):
         raise DegenerateInputError("cannot normalize a zero-norm vector")
     data = x.data / norms
 
     def backward(g):
         if x.requires_grad:
-            inner = (g * data).sum(axis=axis, keepdims=True)
+            inner = (g * data).sum(axis=-1, keepdims=True)
             x.grad += (g - data * inner) / norms
 
     return _from_op(data, (x,), backward, "l2_normalize")
@@ -390,17 +390,17 @@ def tensor_sum(x, axis=None):
     return _from_op(data, (x,), backward, "sum")
 
 
-def logsumexp(x, axis=-1):
-    """log of the sum of exponentials along `axis`, computed max-subtracted."""
-    m = x.data.max(axis=axis, keepdims=True)
+def logsumexp(x):
+    """log of the sum of exponentials along the last axis, computed max-subtracted."""
+    m = x.data.max(axis=-1, keepdims=True)
     shifted = np.exp(x.data - m)
-    total = shifted.sum(axis=axis, keepdims=True)
-    data = (np.log(total) + m).squeeze(axis=axis)
+    total = shifted.sum(axis=-1, keepdims=True)
+    data = (np.log(total) + m).squeeze(axis=-1)
     soft = shifted / total
 
     def backward(g):
         if x.requires_grad:
-            x.grad += np.expand_dims(g, axis) * soft
+            x.grad += np.expand_dims(g, -1) * soft
 
     return _from_op(data, (x,), backward, "logsumexp")
 
@@ -444,7 +444,7 @@ REL_ERROR_FLOOR = 1e-8
 
 
 def finite_difference_check(f, x, step=1e-5, tolerance=1e-6):
-    """Verify the autodiff gradient of a scalar-valued function at `x`.
+    """Verify the autodiff gradient of a scalar-valued function at the array `x`.
 
     `f` must deterministically map a Tensor to a scalar Tensor. The autodiff
     gradient is compared elementwise against central differences of size
@@ -453,7 +453,7 @@ def finite_difference_check(f, x, step=1e-5, tolerance=1e-6):
     """
     if step <= 0:
         raise EvaluationError(f"finite-difference step must be positive, got {step}")
-    base = np.ascontiguousarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+    base = np.ascontiguousarray(x, dtype=np.float64)
 
     param = Tensor(base.copy(), requires_grad=True)
     value = f(param)

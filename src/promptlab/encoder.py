@@ -88,13 +88,17 @@ class PromptStack:
 
     The constructor is the one place the stack rules are checked
     (:meth:`check_rules`), and `prompts` must be keyed exactly by the layers
-    the strategy owns; those owned layers are where the stack inserts.
+    the strategy owns, each a (length, width) tensor of one common width;
+    those owned layers are where the stack inserts.
     """
 
     def __init__(self, strategy, length, active_layers, alpha, prompts):
         owned = self.check_rules(strategy, length, active_layers, alpha)
         if sorted(prompts) != list(owned):
             raise ConfigError(f"{strategy!r} stack owns prompts on layers {owned}, got {sorted(prompts)}")
+        shapes = sorted({tuple(t.shape) for t in prompts.values()})
+        if len(shapes) > 1 or any(len(s) != 2 or s[0] != length for s in shapes):
+            raise DimensionError(f"prompts must share one ({length}, width) shape, got {shapes}")
         self.strategy = strategy
         self.length = length
         self.active_layers = tuple(active_layers)
@@ -297,6 +301,8 @@ class EncoderState:
             raise ConfigError(
                 f"active layers {stack.active_layers} exceed encoder depth {self.config.depth}"
             )
+        if any(t.shape[1] != self.config.width for t in stack.prompts.values()):
+            raise DimensionError(f"prompt width differs from encoder width {self.config.width}")
         x = self.embed_patches(images)
         insertion = set(stack.insertion_layers())
         for i in range(self.config.depth):
@@ -304,7 +310,7 @@ class EncoderState:
                 x = insert_prompts(x, i, stack)
             x = self._block(x, i)
         cls_tok = dc.reshape(dc.slice_axis(dc.layernorm(x), 1, 0, 1), (x.shape[0], self.config.width))
-        return dc.l2_normalize(dc.matmul(cls_tok, self.weights["backbone.proj.weight"]), axis=-1)
+        return dc.l2_normalize(dc.matmul(cls_tok, self.weights["backbone.proj.weight"]))
 
 
 def insert_prompts(tokens: Tensor, layer_index: int, stack: PromptStack) -> Tensor:

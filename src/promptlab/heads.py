@@ -226,10 +226,10 @@ def reformation_loss(prompted: Tensor, frozen: Tensor) -> Tensor:
     batch = prompted.shape[0]
     if batch == 0:
         raise EvaluationError("reformation_loss on an empty batch")
-    anchors = dc.l2_normalize(prompted, axis=-1)
-    references = dc.l2_normalize(frozen.detach(), axis=-1)
+    anchors = dc.l2_normalize(prompted)
+    references = dc.l2_normalize(frozen.detach())
     sims = dc.matmul(anchors, dc.swapaxes(references, 0, 1))
-    pulled = dc.sub(dc.logsumexp(sims, axis=1), dc.take_diagonal(sims))
+    pulled = dc.sub(dc.logsumexp(sims), dc.take_diagonal(sims))
     return dc.scale(dc.tensor_sum(pulled), 1.0 / batch)
 
 

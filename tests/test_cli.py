@@ -1,11 +1,14 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from promptlab.checkpoint import load_tensors, save_tensors
-from promptlab.cli import main, run_grad_check
+from promptlab.cli import _build_train_config, build_parser, main, run_grad_check
 from promptlab.data import load_dataset
 from promptlab.evaluate import parse_table
-from promptlab.trainer import load_records
+from promptlab.trainer import _CONFIG_KEYS, ENV_PREFIX, TrainConfig, load_records
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -98,6 +101,17 @@ def test_missing_subcommand_is_usage_error():
 def test_runtime_error_exits_one(capsys):
     assert main(["train", "--shots", "3"]) == 1
     assert "ConfigError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, text", [("strategy", "bogus"), ("m", "x"),
+                                       ("eval_each_epoch", "maybe")])
+def test_bad_flag_value_fails_like_bad_env_value(key, text, monkeypatch, capsys):
+    assert main(["train", "--" + key.replace("_", "-"), text]) == 1
+    from_flag = capsys.readouterr().err
+    monkeypatch.setenv(ENV_PREFIX + key.upper(), text)
+    assert main(["train"]) == 1
+    from_env = capsys.readouterr().err
+    assert "ConfigError" in from_flag and from_flag == from_env
 
 
 def test_unreadable_config_exits_one(capsys):
@@ -240,6 +254,32 @@ def test_env_var_overrides_defaults(tmp_path, monkeypatch, capsys):
     assert main(["train", *WORLD, "--m", "2", "--depth-range", "1..1",
                  "--shots", "2", "--lr", "0.1", "--seed", "0"]) == 0
     assert "epochs=1" in capsys.readouterr().out
+
+
+# One non-default text per config key; a key added to the table must be added here.
+KEY_TEXTS = {
+    "strategy": "deep", "m": "3", "alpha": "0.3", "lambda": "0.5", "beta": "0.25",
+    "loss_mode": "kd", "lr": "0.2", "wd": "0.001", "momentum": "0.5",
+    "schedule": "constant", "batch_size": "4", "epochs": "7", "shots": "4",
+    "mode": "few_shot", "seeds": "3,5", "depth_range": "2..3", "eval_each_epoch": "off",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_CONFIG_KEYS))
+def test_every_config_key_has_a_flag_equal_to_its_env_var(key, monkeypatch):
+    assert set(KEY_TEXTS) == set(_CONFIG_KEYS)
+    parser = build_parser()
+    from_flag = _build_train_config(parser.parse_args(["train", "--" + key.replace("_", "-"),
+                                                       KEY_TEXTS[key]]))
+    monkeypatch.setenv(ENV_PREFIX + key.upper(), KEY_TEXTS[key])
+    from_env = _build_train_config(parser.parse_args(["train"]))
+    assert from_flag == from_env != TrainConfig()
+
+
+def test_readme_key_table_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"^\| `(\w+)` \|", section, flags=re.M)) == set(_CONFIG_KEYS)
 
 
 def test_flag_beats_config_file(tmp_path):

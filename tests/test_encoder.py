@@ -293,10 +293,28 @@ def test_hand_built_stack_checks_rules(strategy, layers, alpha, owned):
         PromptStack(strategy, 2, layers, alpha, _prompts(*owned))
 
 
+@pytest.mark.parametrize("shapes", [
+    [(3, CFG.width), (3, CFG.width)],   # rows differ from the length, 2
+    [(2, CFG.width), (2, 8)],           # widths differ between layers
+    [(2 * CFG.width,), (2 * CFG.width,)],
+], ids=["wrong-length", "mixed-widths", "flat"])
+def test_hand_built_stack_checks_prompt_shapes(shapes):
+    prompts = {i: dc.Tensor(np.zeros(shape), requires_grad=True) for i, shape in enumerate(shapes)}
+    with pytest.raises(DimensionError):
+        PromptStack("deep", 2, (0, 1), None, prompts)
+
+
 def test_active_layers_must_fit_depth():
     stack = PromptStack.create("deep", 2, CFG.width, active_layers=(2, 3), seed=1)
     enc = EncoderState.create(CFG)
     with pytest.raises(ConfigError):
+        enc.forward(_images(1), stack=stack)
+
+
+def test_prompt_width_must_match_encoder():
+    stack = PromptStack.create("deep", 2, CFG.width // 2, active_layers=(0, 1), seed=1)
+    enc = EncoderState.create(CFG)
+    with pytest.raises(DimensionError):
         enc.forward(_images(1), stack=stack)
 
 

@@ -290,7 +290,7 @@ def test_total_loss_modes():
 def test_step_loss_parts_and_total(mode):
     rng = np.random.default_rng(5)
     bank = heads.ClassEmbeddingBank.generate(3, 6, seed=6, temperature=0.2)
-    feats = dc.l2_normalize(Tensor(rng.normal(size=(4, 6)), requires_grad=True), axis=-1)
+    feats = dc.l2_normalize(Tensor(rng.normal(size=(4, 6)), requires_grad=True))
     frozen = rng.normal(size=(4, 6))
     frozen /= np.linalg.norm(frozen, axis=1, keepdims=True)
     labels = np.array([0, 1, 2, 1])
