@@ -11,12 +11,15 @@ operations require gradients exactly when one of their inputs does, and
 operations whose inputs are all gradient-free record no parents at all,
 which detaches frozen computations for free. An operation result gets its
 gradient buffer from the backward pass that fills it, so a forward that
-never reaches :meth:`Tensor.backward` allocates none.
+never reaches :meth:`Tensor.backward` allocates none. Inside :func:`no_grad`
+operations record no graph whatever their inputs; the mode is per thread.
 
 Execution order is the insertion order of operations, so a forward pass is
 bit-deterministic for fixed inputs.
 """
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -47,6 +50,8 @@ __all__ = [
     "tensor_sum",
     "logsumexp",
     "take_diagonal",
+    "no_grad",
+    "grad_enabled",
     "toposort",
     "finite_difference_check",
 ]
@@ -115,11 +120,29 @@ class Tensor:
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
 
+_grad_mode = threading.local()
+
+
+def grad_enabled() -> bool:
+    """False inside :func:`no_grad` on the calling thread."""
+    return getattr(_grad_mode, "enabled", True)
+
+
+@contextmanager
+def no_grad():
+    """Operations this thread runs inside the block record no graph."""
+    previous, _grad_mode.enabled = grad_enabled(), False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
+
+
 def _from_op(data, parents, backward_fn, op_name):
-    """Build an operation result; drops the graph when no parent needs gradients."""
+    """Build an operation result; no graph inside no_grad or when no parent needs gradients."""
     out = Tensor(data)
     out.op = op_name
-    if any(p.requires_grad for p in parents):
+    if grad_enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn

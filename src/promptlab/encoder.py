@@ -268,24 +268,25 @@ class EncoderState:
             )
         return np.ascontiguousarray(arr)
 
-    def _attention(self, x: Tensor, prefix: str) -> Tensor:
+    def _attention(self, x: Tensor, prefix: str, rows: Optional[int]) -> Tensor:
         cfg = self.config
-        b, t = x.shape[0], x.shape[1]
-        h, dh = cfg.heads, cfg.head_dim
+        b, h, dh = x.shape[0], cfg.heads, cfg.head_dim
 
-        def proj(name):
-            out = dc.matmul(x, self.weights[f"{prefix}.attn.{name}"])
-            return dc.swapaxes(dc.reshape(out, (b, t, h, dh)), 1, 2)
+        def proj(src, name):
+            out = dc.matmul(src, self.weights[f"{prefix}.attn.{name}"])
+            return dc.swapaxes(dc.reshape(out, (b, src.shape[1], h, dh)), 1, 2)
 
-        q, k, v = proj("wq"), proj("wk"), proj("wv")
+        q = proj(x if rows is None else dc.slice_axis(x, 1, 0, rows), "wq")
+        k, v = proj(x, "wk"), proj(x, "wv")
         scores = dc.scale(dc.matmul(q, dc.swapaxes(k, 2, 3)), dh ** -0.5)
         mixed = dc.matmul(dc.softmax(scores), v)
-        merged = dc.reshape(dc.swapaxes(mixed, 1, 2), (b, t, cfg.width))
+        merged = dc.reshape(dc.swapaxes(mixed, 1, 2), (b, q.shape[2], cfg.width))
         return dc.matmul(merged, self.weights[f"{prefix}.attn.wo"])
 
-    def _block(self, x: Tensor, index: int) -> Tensor:
+    def _block(self, x: Tensor, index: int, rows: Optional[int] = None) -> Tensor:
         p = f"backbone.block_{index}"
-        x = dc.add(x, self._attention(dc.layernorm(x), p))
+        kept = x if rows is None else dc.slice_axis(x, 1, 0, rows)
+        x = dc.add(kept, self._attention(dc.layernorm(x), p, rows))
         hidden = dc.gelu(dc.matmul(dc.layernorm(x), self.weights[f"{p}.mlp.w1"]))
         return dc.add(x, dc.matmul(hidden, self.weights[f"{p}.mlp.w2"]))
 
@@ -305,10 +306,13 @@ class EncoderState:
             raise DimensionError(f"prompt width differs from encoder width {self.config.width}")
         x = self.embed_patches(images)
         insertion = set(stack.insertion_layers())
+        # Without a graph the last block computes the class row it returns, plus
+        # one more: a one-row matmul takes other bits than the same row in a larger one.
+        last_rows = None if dc.grad_enabled() else 2
         for i in range(self.config.depth):
             if i in insertion:
                 x = insert_prompts(x, i, stack)
-            x = self._block(x, i)
+            x = self._block(x, i, last_rows if i == self.config.depth - 1 else None)
         cls_tok = dc.reshape(dc.slice_axis(dc.layernorm(x), 1, 0, 1), (x.shape[0], self.config.width))
         return dc.l2_normalize(dc.matmul(cls_tok, self.weights["backbone.proj.weight"]))
 

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .data import MODES, SHOT_CHOICES, FewShotTask, generate_dataset, sample_k_shot
-from .diffcore import Tensor
+from .diffcore import Tensor, no_grad
 from .encoder import EncoderState, PromptStack, count_trainable_params
 from .errors import ConfigError, DivergenceError, EvaluationError, InvariantError, PromptLabError
 from .evaluate import accuracy, harmonic_mean
@@ -273,12 +273,13 @@ def prototype_bank(state: EncoderState, store, temperature: float = 0.1) -> Clas
 def _forward_features(state: EncoderState, images, stack=None) -> np.ndarray:
     """Feature matrix for a (possibly large) image set, in chunks.
 
-    No backward runs, so no gradient buffers are allocated; a graph is
-    still recorded through prompts that require gradients.
+    Every chunk runs under :func:`no_grad`, so no graph is recorded and no
+    gradient buffer is allocated, even through prompts that require gradients.
     """
     chunks = []
     for start in range(0, len(images), _EVAL_CHUNK):
-        feats = state.forward(images[start:start + _EVAL_CHUNK], stack=stack)
+        with no_grad():
+            feats = state.forward(images[start:start + _EVAL_CHUNK], stack=stack)
         chunks.append(feats.data)
     return np.concatenate(chunks) if chunks else np.empty((0, state.config.output_dim))
 

@@ -1,3 +1,4 @@
+import threading
 import zlib
 
 import numpy as np
@@ -111,6 +112,89 @@ def test_op_results_get_grad_buffers_from_backward():
     assert np.array_equal(y.grad, [1.0])
     assert np.allclose(h.grad, [3.0, 3.0])
     assert np.allclose(x.grad, [6.0, -12.0])
+
+
+# ---------------------------------------------------------------------------
+# no_grad
+# ---------------------------------------------------------------------------
+
+def test_no_grad_results_record_no_graph():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+    with dc.no_grad():
+        assert not dc.grad_enabled()
+        h = dc.matmul(dc.reshape(x, (1, 2)), w)
+        y = dc.tensor_sum(dc.gelu(h))
+    for out in (h, y):
+        assert not out.requires_grad
+        assert out._parents == ()
+        assert out._backward_fn is None
+        assert out.grad is None
+    assert dc.grad_enabled()
+
+
+def test_no_grad_leaves_keep_grad_state():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    buffer = x.grad
+    buffer[...] = 5.0
+    with dc.no_grad():
+        dc.mul(x, x)
+        leaf = Tensor(np.ones(2), requires_grad=True)
+    assert x.requires_grad and x.grad is buffer
+    assert np.array_equal(x.grad, [5.0, 5.0])
+    assert leaf.requires_grad and np.array_equal(leaf.grad, [0.0, 0.0])
+
+
+def test_no_grad_nests_and_restores_after_exception():
+    x = Tensor(np.ones(2), requires_grad=True)
+    with dc.no_grad():
+        with dc.no_grad():
+            assert not dc.grad_enabled()
+        assert not dc.grad_enabled()
+        assert not dc.scale(x, 2.0).requires_grad
+    assert dc.grad_enabled()
+    with pytest.raises(DimensionError):
+        with dc.no_grad():
+            Tensor(np.zeros(2)).item()
+    assert dc.grad_enabled()
+    assert dc.scale(x, 2.0).requires_grad
+
+
+def test_backward_through_no_grad_result_leaves_leaf_grads_zero():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    with dc.no_grad():
+        y = dc.tensor_sum(dc.mul(x, x))
+        h = dc.scale(x, 3.0)
+    y.backward()
+    assert np.array_equal(x.grad, [0.0, 0.0])
+    # Used outside the block, a no_grad result is a constant.
+    dc.tensor_sum(dc.mul(h, x)).backward()
+    assert np.array_equal(x.grad, h.data)
+
+
+def test_no_grad_is_per_thread():
+    entered, checked = threading.Event(), threading.Event()
+    seen = {}
+
+    def evaluate():
+        with dc.no_grad():
+            entered.set()
+            checked.wait(timeout=10)
+            seen["thread"] = dc.scale(Tensor(np.ones(2), requires_grad=True), 2.0).requires_grad
+
+    worker = threading.Thread(target=evaluate)
+    worker.start()
+    try:
+        assert entered.wait(timeout=10)
+        x = Tensor(np.ones(2), requires_grad=True)
+        out = dc.scale(x, 2.0)
+        assert dc.grad_enabled()
+        assert out.requires_grad and out._parents == (x,)
+    finally:
+        checked.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert seen == {"thread": False}
 
 
 def test_matmul_shape_mismatch_reports_shapes():

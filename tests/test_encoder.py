@@ -318,6 +318,47 @@ def test_prompt_width_must_match_encoder():
         enc.forward(_images(1), stack=stack)
 
 
+DEPTH1 = EncoderConfig(depth=1, width=16, heads=2, patch_count=5, patch_dim=4, output_dim=6, seed=7)
+ONE_PATCH = EncoderConfig(depth=3, width=16, heads=2, patch_count=1, patch_dim=4, output_dim=6, seed=7)
+PRUNE_CASES = [(CFG, "none", ())] + [
+    (CFG, strategy, layers)
+    for strategy in ("shallow", "deep", "progressive")
+    for layers in ((0, 1), (1, 2))
+] + [
+    (CFG, "shallow", (2,)),
+    (DEPTH1, "none", ()),
+    (DEPTH1, "progressive", (0,)),
+    (ONE_PATCH, "none", ()),
+    (ONE_PATCH, "deep", (1, 2)),
+]
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5])
+@pytest.mark.parametrize("cfg, strategy, layers", PRUNE_CASES)
+def test_no_grad_forward_equals_graph_forward_bytes(cfg, strategy, layers, batch, monkeypatch):
+    alpha = 0.1 if strategy == "progressive" else None
+    stack = PromptStack.create(strategy, 3, cfg.width, active_layers=layers, alpha=alpha, seed=4)
+    enc = EncoderState.create(cfg, stack)
+    rows = []
+    original = EncoderState._block
+
+    def recording(state, x, index, *args):
+        out = original(state, x, index, *args)
+        rows.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(EncoderState, "_block", recording)
+    imgs = _images(batch, cfg, seed=batch)
+    full = enc.forward(imgs)
+    full_rows = list(rows)
+    rows.clear()
+    with dc.no_grad():
+        pruned = enc.forward(imgs)
+    assert pruned.data.tobytes() == full.data.tobytes()
+    assert full.requires_grad == (strategy != "none") and not pruned.requires_grad
+    assert rows == full_rows[:-1] + [2]
+
+
 # ---------------------------------------------------------------------------
 # frozen-backbone guarantees and parameter accounting
 # ---------------------------------------------------------------------------

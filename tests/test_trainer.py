@@ -360,20 +360,28 @@ def test_non_finite_features_are_not_scored(encoder, bank):
 
 def test_forward_features_allocate_no_grad_buffers(encoder, monkeypatch):
     original = dc._from_op
-    buffered = []
+    results = []
 
     def recording(*args, **kwargs):
         out = original(*args, **kwargs)
-        buffered.append(out.grad is not None)
+        results.append(out)
         return out
 
     monkeypatch.setattr(dc, "_from_op", recording)
     stack = _short_config().prompt_stack(ENC_CFG.width, seed=0)
     assert all(tensor.requires_grad for _, tensor in stack.parameters())
     state = EncoderState(encoder.config, encoder.weights, stack)
-    feats = _forward_features(state, _episode().train_images)
+    images = _episode().train_images
+    feats = _forward_features(state, images)
     assert feats.shape[1] == ENC_CFG.output_dim
-    assert buffered and not any(buffered)
+    assert results
+    assert not [out for out in results if out._parents or out.grad is not None]
+
+    # A training forward afterwards records its graph again.
+    results.clear()
+    dc.tensor_sum(state.forward(images[:8])).backward()
+    assert any(out._parents for out in results)
+    assert all(np.abs(tensor.grad).max() > 0 for _, tensor in stack.parameters())
 
 
 def test_prototype_bank_rows_are_frozen_prototype_features(encoder):
