@@ -163,26 +163,25 @@ def cmd_train(args) -> int:
 
 
 def _checkpointed_setup(args):
-    """(config, encoder, seed, dataset, prompt stack) for eval-style commands.
+    """(config, prompted encoder state, seed, dataset) for eval-style commands.
 
-    The stack is seeded like the one `train` would build for `seed`, then
-    overwritten from --checkpoint when one is given.
+    The state's stack is seeded like the one `train` would build for `seed`,
+    then overwritten from --checkpoint when one is given.
     """
     config = _build_train_config(args)
     encoder = _encoder(args)
     seed = config.seeds[0]
-    store = generate_dataset(_task_spec(args), seed)
     stack = config.prompt_stack(encoder.config.width, seed)
+    state = EncoderState(encoder.config, encoder.weights, stack)
     if args.checkpoint:
         stack.load_state_dict(load_tensors(args.checkpoint))
-    return config, encoder, seed, store, stack
+    return config, state, seed, generate_dataset(_task_spec(args), seed)
 
 
 def cmd_eval(args) -> int:
-    config, encoder, seed, store, stack = _checkpointed_setup(args)
-    bank = _bank_factory(args)(encoder, store)
+    config, state, seed, store = _checkpointed_setup(args)
+    bank = _bank_factory(args)(state, store)
     task = sample_k_shot(store, config.shots, seed, mode=config.mode)
-    state = EncoderState(encoder.config, encoder.weights, stack)
     metrics = evaluate_task(state, bank, task)
     _print_metrics(f"seed {seed}: ", metrics)
     _write_table(args, [[{
@@ -262,11 +261,12 @@ def run_grad_check(loss_mode: str, step: float = 1e-5, tolerance: float = 1e-4, 
                         output_dim=8, seed=seed + 11)
     stack = config.prompt_stack(cfg.width, seed + 13)
     state = EncoderState.create(cfg, stack)
-    bank = ClassEmbeddingBank.generate(3, cfg.output_dim, seed=seed + 17, temperature=0.2)
+    bank = ClassEmbeddingBank.generate(3, cfg.output_dim, seed=seed + 17, temperature=0.2,
+                                       max_cosine=0.5)
     rng = np.random.default_rng(seed + 19)
     images = rng.normal(size=(3, cfg.patch_count, cfg.patch_dim))
     labels = np.array([0, 1, 2])
-    frozen = state.forward(images, stack=PromptStack.none()).data
+    frozen = _forward_features(EncoderState(cfg, state.weights, PromptStack.none()), images)
     layers, m = sorted(stack.prompts), stack.length
 
     def f(x):
@@ -293,11 +293,12 @@ def cmd_grad_check(args) -> int:
 def cmd_export_embeddings(args) -> int:
     if args.limit < 0:
         raise ConfigError(f"--limit must be non-negative, got {args.limit}")
-    _, encoder, _, store, stack = _checkpointed_setup(args)
+    _, state, _, store = _checkpointed_setup(args)
     images = store.samples[:args.limit]
+    frozen = EncoderState(state.config, state.weights, PromptStack.none())
     features = {
-        "frozen": _forward_features(encoder, images, stack=PromptStack.none()),
-        "prompted": _forward_features(encoder, images, stack=stack),
+        "frozen": _forward_features(frozen, images),
+        "prompted": _forward_features(state, images),
     }
     count = export_embeddings(features, store.labels[:args.limit], args.out)
     print(f"wrote {count} rows to {args.out}")

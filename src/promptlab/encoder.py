@@ -22,10 +22,11 @@ the only trainable tensors. Four insertion strategies:
     inserted block a function of the input.
 
 A :class:`PromptStack` is checked once, by its constructor, and inserts
-exactly at the layers it owns prompts for. Token layout after insertion is
-always [class, prompts, patches]. Prompt tokens receive no positional
-embedding. :meth:`EncoderState.forward` returns only the unit-norm feature
-tensor.
+exactly at the layers it owns prompts for. An :class:`EncoderState` pairs
+one backbone with one stack, checked once to fit; the frozen path f(x) pairs
+the same weights with ``PromptStack.none()``. Token layout after insertion
+is always [class, prompts, patches]. Prompt tokens receive no positional
+embedding. :meth:`EncoderState.forward` returns only the unit-norm feature.
 """
 
 import hashlib
@@ -209,13 +210,21 @@ def progressive_combine(fresh: Tensor, prev_output: Tensor, alpha) -> Tensor:
 
 
 class EncoderState:
-    """Frozen backbone weights plus one prompt stack.
+    """Frozen backbone weights plus one prompt stack, checked once to fit them.
 
-    Weights never require gradients; training mutates only the stack's
-    prompt tensors. Safe to share read-only across threads.
+    The constructor refuses a stack with active layers past `depth`
+    (ConfigError) or prompts not of `width` (DimensionError). Weights never
+    require gradients; training mutates only the stack's prompt tensors.
+    Safe to share read-only across threads.
     """
 
     def __init__(self, config: EncoderConfig, weights: Dict[str, Tensor], prompt_stack: PromptStack):
+        if prompt_stack.active_layers and prompt_stack.active_layers[-1] >= config.depth:
+            raise ConfigError(
+                f"active layers {prompt_stack.active_layers} exceed encoder depth {config.depth}"
+            )
+        if any(t.shape[1] != config.width for t in prompt_stack.prompts.values()):
+            raise DimensionError(f"prompt width differs from encoder width {config.width}")
         self.config = config
         self.weights = weights
         self.prompt_stack = prompt_stack
@@ -290,28 +299,20 @@ class EncoderState:
         hidden = dc.gelu(dc.matmul(dc.layernorm(x), self.weights[f"{p}.mlp.w1"]))
         return dc.add(x, dc.matmul(hidden, self.weights[f"{p}.mlp.w2"]))
 
-    def forward(self, images, stack: Optional[PromptStack] = None) -> Tensor:
-        """Run the encoder; returns the unit-norm feature Tensor.
+    def forward(self, images) -> Tensor:
+        """Run the encoder with the state's prompt stack; returns the unit-norm feature Tensor.
 
         `images` is a (batch, patch_count, patch_dim) array and the features
-        are shaped (batch, output_dim). `stack` overrides the state's own
-        prompt stack; pass ``PromptStack.none()`` for the frozen path f(x).
+        are shaped (batch, output_dim).
         """
-        stack = self.prompt_stack if stack is None else stack
-        if stack.active_layers and stack.active_layers[-1] >= self.config.depth:
-            raise ConfigError(
-                f"active layers {stack.active_layers} exceed encoder depth {self.config.depth}"
-            )
-        if any(t.shape[1] != self.config.width for t in stack.prompts.values()):
-            raise DimensionError(f"prompt width differs from encoder width {self.config.width}")
         x = self.embed_patches(images)
-        insertion = set(stack.insertion_layers())
+        insertion = set(self.prompt_stack.insertion_layers())
         # Without a graph the last block computes the class row it returns, plus
         # one more: a one-row matmul takes other bits than the same row in a larger one.
         last_rows = None if dc.grad_enabled() else 2
         for i in range(self.config.depth):
             if i in insertion:
-                x = insert_prompts(x, i, stack)
+                x = insert_prompts(x, i, self.prompt_stack)
             x = self._block(x, i, last_rows if i == self.config.depth - 1 else None)
         cls_tok = dc.reshape(dc.slice_axis(dc.layernorm(x), 1, 0, 1), (x.shape[0], self.config.width))
         return dc.l2_normalize(dc.matmul(cls_tok, self.weights["backbone.proj.weight"]))

@@ -52,11 +52,11 @@ __all__ = [
 
 
 class _ClampCounter:
-    """Running count of probability clamps, never reset by the program.
+    """Running count of probability clamps, never reset.
 
     Callers take the difference of two reads: the trainer records the
     clamps of one run as the count at its end minus the count at its
-    start. `reset()` is for tests that want a clean count.
+    start.
     """
 
     def __init__(self):
@@ -64,10 +64,6 @@ class _ClampCounter:
 
     def add(self, n: int) -> None:
         self.count += int(n)
-
-    def reset(self) -> int:
-        previous, self.count = self.count, 0
-        return previous
 
 
 clamp_counter = _ClampCounter()
@@ -79,7 +75,7 @@ class ClassEmbeddingBank:
     Immutable after construction; rows are guaranteed unit-norm to 1e-9.
     """
 
-    def __init__(self, embeddings, temperature=0.01):
+    def __init__(self, embeddings, temperature):
         arr = np.ascontiguousarray(embeddings, dtype=np.float64)
         if arr.ndim != 2:
             raise DimensionError(f"class embeddings must be 2-d, got shape {arr.shape}")
@@ -117,7 +113,7 @@ class ClassEmbeddingBank:
         return ClassEmbeddingBank(self.embeddings.data[ids], temperature=self.temperature)
 
     @classmethod
-    def generate(cls, class_count, dim, seed, temperature=0.01, max_cosine=0.5):
+    def generate(cls, class_count, dim, seed, temperature, max_cosine):
         """Seeded random unit rows with pairwise cosine at most `max_cosine`.
 
         Rejection sampling keeps classes angularly separated so that desk

@@ -258,7 +258,7 @@ def _lr_at(config: TrainConfig, epoch: int, total_epochs: int) -> float:
     return config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * epoch / total_epochs))
 
 
-def prototype_bank(state: EncoderState, store, temperature: float = 0.1) -> ClassEmbeddingBank:
+def prototype_bank(state: EncoderState, store, temperature: float) -> ClassEmbeddingBank:
     """Class embeddings from the frozen encoder's view of the prototypes.
 
     Plays the role a text encoder plays at full scale: class embeddings
@@ -266,12 +266,12 @@ def prototype_bank(state: EncoderState, store, temperature: float = 0.1) -> Clas
     held-out classes is meaningful. Row c is the frozen (promptless)
     feature of class c's prototype; rows are unit-norm already.
     """
-    feats = state.forward(store.prototypes, stack=PromptStack.none())
-    return ClassEmbeddingBank(feats.data, temperature=temperature)
+    frozen = EncoderState(state.config, state.weights, PromptStack.none())
+    return ClassEmbeddingBank(_forward_features(frozen, store.prototypes), temperature=temperature)
 
 
-def _forward_features(state: EncoderState, images, stack=None) -> np.ndarray:
-    """Feature matrix for a (possibly large) image set, in chunks.
+def _forward_features(state: EncoderState, images) -> np.ndarray:
+    """Feature matrix for a (possibly large) image set, in chunks, with the state's stack.
 
     Every chunk runs under :func:`no_grad`, so no graph is recorded and no
     gradient buffer is allocated, even through prompts that require gradients.
@@ -279,7 +279,7 @@ def _forward_features(state: EncoderState, images, stack=None) -> np.ndarray:
     chunks = []
     for start in range(0, len(images), _EVAL_CHUNK):
         with no_grad():
-            feats = state.forward(images[start:start + _EVAL_CHUNK], stack=stack)
+            feats = state.forward(images[start:start + _EVAL_CHUNK])
         chunks.append(feats.data)
     return np.concatenate(chunks) if chunks else np.empty((0, state.config.output_dim))
 
@@ -351,7 +351,8 @@ def train(
     n = len(images)
 
     needs_frozen = config.loss.mode in ("ref", "kd")
-    frozen_feats = _forward_features(state, images, stack=PromptStack.none()) if needs_frozen else None
+    frozen_state = EncoderState(encoder.config, encoder.weights, PromptStack.none())
+    frozen_feats = _forward_features(frozen_state, images) if needs_frozen else None
 
     optimizer = SGD(stack.parameters(), momentum=config.momentum, weight_decay=config.weight_decay)
     total_epochs = config.epochs()
@@ -421,7 +422,7 @@ def run_grid(
     base: TrainConfig,
     encoder: EncoderState,
     task_spec,
-    bank_factory=None,
+    bank_factory,
 ) -> List[Dict[str, object]]:
     """Train the Cartesian product of `axes` values x `base.seeds`.
 
@@ -430,8 +431,7 @@ def run_grid(
     fails only its own cell. Each cell gets a fresh dataset/episode per
     seed and an independently initialized prompt stack.
     `bank_factory(encoder, store)` supplies the class embeddings for each
-    seed's dataset; the default embeds the store's prototypes through the
-    frozen encoder. Failing runs are recorded with their error and do not
+    seed's dataset. Failing runs are recorded with their error and do not
     stop the grid.
     """
     for axis in axes:
@@ -439,8 +439,6 @@ def run_grid(
             raise ConfigError(f"unknown grid axis {axis!r}; expected one of {_GRID_AXES}")
         if len(axes[axis]) == 0:
             raise ConfigError(f"grid axis {axis!r} is empty")
-    if bank_factory is None:
-        bank_factory = prototype_bank
     names = sorted(axes)
     cells: List[Dict[str, object]] = []
     combos = itertools.product(*(axes[name] for name in names)) if names else [()]

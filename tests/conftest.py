@@ -5,7 +5,7 @@ from promptlab import encoder
 
 @pytest.fixture
 def inserted_blocks(monkeypatch):
-    """`run(state, images, stack=None)` -> {layer: inserted prompt block}.
+    """`run(state, images)` -> {layer: inserted prompt block}.
 
     Wraps `encoder.insert_prompts` (the forward calls it through the module
     global) and reads positions [1, 1+m) of each sequence it returns: the
@@ -21,9 +21,9 @@ def inserted_blocks(monkeypatch):
 
     monkeypatch.setattr(encoder, "insert_prompts", recording)
 
-    def run(state, images, stack=None):
+    def run(state, images):
         blocks.clear()
-        state.forward(images, stack=stack)
+        state.forward(images)
         return dict(blocks)
 
     return run

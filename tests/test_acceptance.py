@@ -125,11 +125,11 @@ def test_criterion_03_zero_alpha_progressive_matches_deep():
         for i, t in deep.prompts.items()
     }
     progressive = PromptStack("progressive", 8, layers, 0.0, shared)
-    state = EncoderState.create(cfg, PromptStack.none())
+    state = EncoderState.create(cfg, deep)
     images = np.random.default_rng(3).normal(
         size=(100, cfg.patch_count, cfg.patch_dim))
-    feats_deep = state.forward(images, stack=deep).data
-    feats_prog = state.forward(images, stack=progressive).data
+    feats_deep = state.forward(images).data
+    feats_prog = EncoderState(cfg, state.weights, progressive).forward(images).data
     diff = float(np.max(np.abs(feats_deep - feats_prog)))
     ok = diff <= 1e-12
     _verdict(3, "alpha=0 progressive equals deep over 100 inputs",
@@ -164,7 +164,7 @@ def test_criterion_05_backbone_frozen_through_training():
     cfg = EncoderConfig(depth=2, width=16, heads=2, patch_count=4,
                         patch_dim=6, output_dim=8, seed=1)
     state = EncoderState.create(cfg)
-    bank = ClassEmbeddingBank.generate(4, 8, seed=9, temperature=0.1)
+    bank = ClassEmbeddingBank.generate(4, 8, seed=9, temperature=0.1, max_cosine=0.5)
     config = TrainConfig(prompt_length=2, depth_range=(1, 2),
                          learning_rate=0.1, batch_size=4, max_epochs=20,
                          shots=2, mode="few_shot",
@@ -226,11 +226,11 @@ def test_criterion_07_progressive_prompts_adapt_per_input(inserted_blocks):
 
     prog = PromptStack.create("progressive", 4, cfg.width,
                               active_layers=(0, 1), alpha=0.1, seed=2)
-    inserted = inserted_blocks(state, images, stack=prog)
+    inserted = inserted_blocks(EncoderState(cfg, state.weights, prog), images)
     prog_gap = float(np.max(np.abs(inserted[1][0] - inserted[1][1])))
 
     deep = PromptStack.create("deep", 4, cfg.width, active_layers=(0, 1), seed=2)
-    inserted = inserted_blocks(state, images, stack=deep)
+    inserted = inserted_blocks(EncoderState(cfg, state.weights, deep), images)
     deep_gap = float(np.max(np.abs(inserted[1][0] - inserted[1][1])))
 
     ok = prog_gap > 1e-6 and deep_gap == 0.0
@@ -250,7 +250,7 @@ def test_criterion_08_noiseless_task_trains_to_full_accuracy():
                         patch_dim=6, output_dim=8, seed=7)
     spec = SyntheticTaskSpec(class_count=4, patch_count=4, patch_dim=6,
                              noise_std=0.0, samples_per_class=24)
-    bank = ClassEmbeddingBank.generate(4, 8, seed=3, temperature=0.1)
+    bank = ClassEmbeddingBank.generate(4, 8, seed=3, temperature=0.1, max_cosine=0.5)
     state = EncoderState.create(cfg)
     outcomes = {}
     for strategy in ("deep", "progressive"):

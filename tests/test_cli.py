@@ -7,6 +7,7 @@ import pytest
 from promptlab.checkpoint import load_tensors, save_tensors
 from promptlab.cli import _build_train_config, build_parser, main, run_grad_check
 from promptlab.data import load_dataset
+from promptlab.encoder import EncoderState
 from promptlab.evaluate import parse_table
 from promptlab.trainer import _CONFIG_KEYS, ENV_PREFIX, TrainConfig, load_records
 
@@ -188,6 +189,21 @@ def test_eval_rejects_checkpoint_from_other_strategy(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "CheckpointError" in captured.err and "prompts.layer_1" in captured.err
     assert "base_accuracy=" not in captured.out
+
+
+def test_eval_refuses_depth_range_past_encoder_before_any_forward(monkeypatch, capsys):
+    forwards = []
+    forward = EncoderState.forward
+
+    def counting(state, *args, **kwargs):
+        forwards.append(state)
+        return forward(state, *args, **kwargs)
+
+    monkeypatch.setattr(EncoderState, "forward", counting)
+    assert main(["eval", *WORLD, "--depth", "2", "--m", "2", "--depth-range", "1..3",
+                 "--shots", "2", "--seed", "0"]) == 1
+    assert "ConfigError" in capsys.readouterr().err
+    assert forwards == []
 
 
 def test_eval_without_checkpoint_runs_fresh_prompts(capsys):

@@ -213,7 +213,7 @@ def test_zero_shot_on_shifted_novel_classes_is_imperfect():
     cfg = EncoderConfig(depth=2, width=16, heads=2, patch_count=6, patch_dim=5,
                         output_dim=8, seed=1)
     enc = EncoderState.create(cfg)
-    bank = ClassEmbeddingBank.generate(8, 8, seed=2)
+    bank = ClassEmbeddingBank.generate(8, 8, seed=2, temperature=0.01, max_cosine=0.5)
     novel_mask = np.isin(store.labels, store.split.novel)
     feats = enc.forward(store.samples[novel_mask])
     preds = cosine_logits(feats, bank).data.argmax(axis=1)

@@ -308,14 +308,14 @@ def test_active_layers_must_fit_depth():
     stack = PromptStack.create("deep", 2, CFG.width, active_layers=(2, 3), seed=1)
     enc = EncoderState.create(CFG)
     with pytest.raises(ConfigError):
-        enc.forward(_images(1), stack=stack)
+        EncoderState(enc.config, enc.weights, stack)
 
 
 def test_prompt_width_must_match_encoder():
     stack = PromptStack.create("deep", 2, CFG.width // 2, active_layers=(0, 1), seed=1)
     enc = EncoderState.create(CFG)
     with pytest.raises(DimensionError):
-        enc.forward(_images(1), stack=stack)
+        EncoderState(enc.config, enc.weights, stack)
 
 
 DEPTH1 = EncoderConfig(depth=1, width=16, heads=2, patch_count=5, patch_dim=4, output_dim=6, seed=7)
@@ -412,8 +412,9 @@ def test_count_trainable_params():
 def test_frozen_features_ignore_prompt_values():
     stack = PromptStack.create("deep", 4, CFG.width, active_layers=(0, 1, 2), seed=2)
     enc = EncoderState.create(CFG, stack)
+    frozen = EncoderState(enc.config, enc.weights, PromptStack.none())
     imgs = _images(3)
-    f_before = enc.forward(imgs, stack=PromptStack.none())
+    f_before = frozen.forward(imgs)
     stack.prompts[0].data += 10.0
-    f_after = enc.forward(imgs, stack=PromptStack.none())
+    f_after = frozen.forward(imgs)
     assert np.array_equal(f_before.data, f_after.data)

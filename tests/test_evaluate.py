@@ -284,7 +284,7 @@ def _variants(images):
     stack = PromptStack.create("deep", 2, ENC_CFG.width, active_layers=(0, 1), seed=5)
     return {
         "frozen": _forward_features(encoder, images),
-        "prompted": _forward_features(encoder, images, stack=stack),
+        "prompted": _forward_features(EncoderState(ENC_CFG, encoder.weights, stack), images),
     }
 
 

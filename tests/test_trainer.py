@@ -11,7 +11,7 @@ from promptlab.data import (
     sample_k_shot,
 )
 from promptlab.diffcore import Tensor
-from promptlab.encoder import EncoderConfig, EncoderState, PromptStack, backbone_checksum
+from promptlab.encoder import EncoderConfig, EncoderState, backbone_checksum
 from promptlab.errors import ConfigError, DivergenceError, EvaluationError, InvariantError
 from promptlab.heads import ClassEmbeddingBank, LossConfig
 from promptlab.trainer import (
@@ -196,7 +196,7 @@ def encoder():
 
 @pytest.fixture(scope="module")
 def bank():
-    return ClassEmbeddingBank.generate(4, 8, seed=3, temperature=0.15)
+    return ClassEmbeddingBank.generate(4, 8, seed=3, temperature=0.15, max_cosine=0.5)
 
 
 def _short_config(**overrides):
@@ -274,10 +274,24 @@ def test_frozen_weights_unchanged_by_training(encoder, bank):
 def test_frozen_path_features_unchanged_by_training(encoder, bank):
     task = _episode()
     pristine = EncoderState.create(ENC_CFG)
-    expected = pristine.forward(task.train_images, stack=PromptStack.none())
+    expected = pristine.forward(task.train_images)
     train(task, encoder, bank, _short_config(), seed=0)
-    actual = encoder.forward(task.train_images, stack=PromptStack.none())
+    actual = encoder.forward(task.train_images)
     assert np.array_equal(actual.data, expected.data)
+
+
+def test_depth_range_past_encoder_is_refused_before_any_forward(encoder, bank, monkeypatch):
+    forwards = []
+    forward = EncoderState.forward
+
+    def counting(state, *args, **kwargs):
+        forwards.append(state)
+        return forward(state, *args, **kwargs)
+
+    monkeypatch.setattr(EncoderState, "forward", counting)
+    with pytest.raises(ConfigError, match="exceed encoder depth"):
+        train(_episode(), encoder, bank, _short_config(depth_range=(1, 3)), seed=0)
+    assert forwards == []
 
 
 def test_passed_encoder_stack_is_not_replaced(encoder, bank):
@@ -387,7 +401,7 @@ def test_forward_features_allocate_no_grad_buffers(encoder, monkeypatch):
 def test_prototype_bank_rows_are_frozen_prototype_features(encoder):
     store = generate_dataset(SPEC, 0)
     bank = prototype_bank(encoder, store, temperature=0.1)
-    expected = encoder.forward(store.prototypes, stack=PromptStack.none())
+    expected = encoder.forward(store.prototypes)
     assert np.array_equal(bank.embeddings.data, expected.data)
     assert bank.temperature == 0.1
     norms = np.linalg.norm(bank.embeddings.data, axis=1)
@@ -417,7 +431,7 @@ WIDE_CFG = EncoderConfig(depth=2, width=32, heads=4, patch_count=4, patch_dim=6,
 @pytest.mark.parametrize("strategy", ["deep", "progressive"])
 def test_noiseless_task_trains_to_full_accuracy(strategy):
     encoder = EncoderState.create(WIDE_CFG)
-    bank = ClassEmbeddingBank.generate(4, 8, seed=3, temperature=0.1)
+    bank = ClassEmbeddingBank.generate(4, 8, seed=3, temperature=0.1, max_cosine=0.5)
     store = generate_dataset(CLEAN_SPEC, 0)
     task = sample_k_shot(store, 16, 0, mode="few_shot")
     cfg = TrainConfig(strategy=strategy, prompt_length=8,
@@ -479,7 +493,7 @@ def test_grid_rejects_unknown_or_empty_axes(encoder, bank):
 
 def test_grid_continues_past_run_failures(encoder, bank):
     calls = []
-    bad_bank = ClassEmbeddingBank.generate(4, 6, seed=5, temperature=0.15)
+    bad_bank = ClassEmbeddingBank.generate(4, 6, seed=5, temperature=0.15, max_cosine=0.5)
 
     def flaky_factory(enc, store):
         calls.append(None)
