@@ -14,6 +14,12 @@ gradient buffer from the backward pass that fills it, so a forward that
 never reaches :meth:`Tensor.backward` allocates none. Inside :func:`no_grad`
 operations record no graph whatever their inputs; the mode is per thread.
 
+No operation writes into the data of its operands or of an operation
+result, and backward passes write only gradient buffers. So a result may
+share memory with its input: :func:`reshape` returns a view. Only leaf data
+is ever updated in place (an optimizer step on prompts, a checkpoint load),
+and never while a graph built from it still awaits its backward pass.
+
 Execution order is the insertion order of operations, so a forward pass is
 bit-deterministic for fixed inputs.
 """
@@ -296,7 +302,8 @@ def slice_axis(x, axis, start, stop):
 
 
 def reshape(x, shape):
-    data = x.data.reshape(shape).copy()
+    """A view of `x` in a new shape; see the module docstring for why no copy is needed."""
+    data = x.data.reshape(shape)
 
     def backward(g):
         if x.requires_grad:
@@ -353,11 +360,11 @@ def layernorm(x, eps=1e-5):
 
 def gelu(x):
     """Exact erf-based GELU."""
-    data = kernels.gelu(x.data)
+    data, t = kernels.gelu(x.data)
 
     def backward(g):
         if x.requires_grad:
-            x.grad += kernels.gelu_grad(x.data, g)
+            x.grad += kernels.gelu_grad(x.data, t, g)
 
     return _from_op(data, (x,), backward, "gelu")
 

@@ -27,6 +27,11 @@ one backbone with one stack, checked once to fit; the frozen path f(x) pairs
 the same weights with ``PromptStack.none()``. Token layout after insertion
 is always [class, prompts, patches]. Prompt tokens receive no positional
 embedding. :meth:`EncoderState.forward` returns only the unit-norm feature.
+
+Nothing before a stack's first insertion layer depends on the prompts.
+:meth:`EncoderState.prefix` runs that part once, graph-free, and returns a
+:class:`Prefix` of token arrays; ``forward`` resumes from one at its block
+with the same bits as a forward from the images.
 """
 
 import hashlib
@@ -41,11 +46,15 @@ from .errors import CheckpointError, ConfigError, DimensionError
 
 STRATEGIES = ("none", "shallow", "deep", "progressive")
 
+# Images per graph-free pass in EncoderState.prefix; bounds its working memory.
+_PREFIX_CHUNK = 256
+
 __all__ = [
     "STRATEGIES",
     "EncoderConfig",
     "PromptStack",
     "EncoderState",
+    "Prefix",
     "progressive_combine",
     "insert_prompts",
     "count_trainable_params",
@@ -209,13 +218,32 @@ def progressive_combine(fresh: Tensor, prev_output: Tensor, alpha) -> Tensor:
     return dc.add(dc.scale(fresh, 1.0 - alpha), dc.scale(prev_output, alpha))
 
 
+@dataclass(frozen=True, eq=False)
+class Prefix:
+    """Token arrays of a batch of images entering block `block`, from :meth:`EncoderState.prefix`.
+
+    `tokens` is shaped (batch, 1 + patch_count, width) and is never written.
+    Indexing selects images and keeps the block; ``len`` is the image count.
+    """
+
+    tokens: np.ndarray
+    block: int
+
+    def __len__(self):
+        return len(self.tokens)
+
+    def __getitem__(self, rows) -> "Prefix":
+        return Prefix(self.tokens[rows], self.block)
+
+
 class EncoderState:
     """Frozen backbone weights plus one prompt stack, checked once to fit them.
 
     The constructor refuses a stack with active layers past `depth`
     (ConfigError) or prompts not of `width` (DimensionError). Weights never
     require gradients; training mutates only the stack's prompt tensors.
-    Safe to share read-only across threads.
+    `prefix_blocks` counts the blocks before the first insertion layer (all
+    of them for a ``none`` stack). Safe to share read-only across threads.
     """
 
     def __init__(self, config: EncoderConfig, weights: Dict[str, Tensor], prompt_stack: PromptStack):
@@ -228,6 +256,7 @@ class EncoderState:
         self.config = config
         self.weights = weights
         self.prompt_stack = prompt_stack
+        self.prefix_blocks = min(prompt_stack.insertion_layers(), default=config.depth)
 
     @classmethod
     def create(cls, config: EncoderConfig, prompt_stack: Optional[PromptStack] = None) -> "EncoderState":
@@ -299,21 +328,68 @@ class EncoderState:
         hidden = dc.gelu(dc.matmul(dc.layernorm(x), self.weights[f"{p}.mlp.w1"]))
         return dc.add(x, dc.matmul(hidden, self.weights[f"{p}.mlp.w2"]))
 
-    def forward(self, images) -> Tensor:
-        """Run the encoder with the state's prompt stack; returns the unit-norm feature Tensor.
+    def _blocks(self, x: Tensor, start: int, stop: int, last_rows: Optional[int] = None) -> Tensor:
+        """Blocks start..stop-1, inserting prompts at the stack's owned layers.
 
-        `images` is a (batch, patch_count, patch_dim) array and the features
-        are shaped (batch, output_dim).
+        The encoder's last block computes only its first `last_rows` rows when
+        that is given.
         """
-        x = self.embed_patches(images)
         insertion = set(self.prompt_stack.insertion_layers())
-        # Without a graph the last block computes the class row it returns, plus
-        # one more: a one-row matmul takes other bits than the same row in a larger one.
-        last_rows = None if dc.grad_enabled() else 2
-        for i in range(self.config.depth):
+        for i in range(start, stop):
             if i in insertion:
                 x = insert_prompts(x, i, self.prompt_stack)
             x = self._block(x, i, last_rows if i == self.config.depth - 1 else None)
+        return x
+
+    def prefix(self, images) -> Prefix:
+        """The tokens of `images` entering block `prefix_blocks`, computed without a graph.
+
+        Runs the patch embedding and the blocks before the first insertion
+        layer, in chunks of images under :func:`diffcore.no_grad`. None of it
+        depends on the prompts, so one prefix serves every forward of these
+        images, by this state or any other over the same weights whose
+        stack's first insertion layer is not before it.
+        """
+        batch = self._as_batch(images)
+        cfg = self.config
+        chunks = []
+        with dc.no_grad():
+            for start in range(0, len(batch), _PREFIX_CHUNK):
+                x = self.embed_patches(batch[start:start + _PREFIX_CHUNK])
+                chunks.append(self._blocks(x, 0, self.prefix_blocks).data)
+        tokens = np.concatenate(chunks) if chunks else np.empty((0, 1 + cfg.patch_count, cfg.width))
+        return Prefix(tokens, self.prefix_blocks)
+
+    def _resume(self, prefix: Prefix) -> Tensor:
+        cfg = self.config
+        if prefix.block > self.prefix_blocks:
+            raise ConfigError(
+                f"prefix at block {prefix.block} lies past this stack's first insertion "
+                f"layer {self.prefix_blocks}"
+            )
+        if prefix.tokens.ndim != 3 or prefix.tokens.shape[1:] != (1 + cfg.patch_count, cfg.width):
+            raise DimensionError(
+                f"expected prefix tokens shaped (batch, {1 + cfg.patch_count}, {cfg.width}), "
+                f"got {prefix.tokens.shape}"
+            )
+        return Tensor(prefix.tokens)
+
+    def forward(self, images) -> Tensor:
+        """Run the encoder with the state's prompt stack; returns the unit-norm feature Tensor.
+
+        `images` is a (batch, patch_count, patch_dim) array, or a
+        :class:`Prefix` of one from :meth:`prefix`, which the forward resumes
+        at its block with the same bits. The features are shaped (batch,
+        output_dim). A prefix past the first insertion layer raises
+        ConfigError.
+        """
+        if isinstance(images, Prefix):
+            x, start = self._resume(images), images.block
+        else:
+            x, start = self.embed_patches(images), 0
+        # Without a graph the last block computes the class row it returns, plus
+        # one more: a one-row matmul takes other bits than the same row in a larger one.
+        x = self._blocks(x, start, self.config.depth, None if dc.grad_enabled() else 2)
         cls_tok = dc.reshape(dc.slice_axis(dc.layernorm(x), 1, 0, 1), (x.shape[0], self.config.width))
         return dc.l2_normalize(dc.matmul(cls_tok, self.weights["backbone.proj.weight"]))
 

@@ -46,12 +46,13 @@ def layernorm_lastaxis_grad(x, mean, rstd, g):
 
 
 def gelu(x):
-    """Exact (erf-based) GELU."""
-    return 0.5 * x * (1.0 + _erf(x * _INV_SQRT2))
+    """Exact (erf-based) GELU; returns (y, t) with t = 1 + erf(x / sqrt(2)) for backward."""
+    t = 1.0 + _erf(x * _INV_SQRT2)
+    return 0.5 * x * t, t
 
 
-def gelu_grad(x, g):
-    """Input gradient of the exact GELU."""
-    cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
+def gelu_grad(x, t, g):
+    """Input gradient of the exact GELU, given the `t` that :func:`gelu` returned."""
+    cdf = 0.5 * t
     pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
     return g * (cdf + x * pdf)

@@ -9,8 +9,13 @@ step on the prompts alone. Every step is logged with its exact loss
 components, and nothing time-dependent is recorded, so identical seeds
 give byte-identical record files.
 
-Frozen features of the train set are computed once per run and reused:
-the frozen path takes no gradients and is deterministic, so per-batch
+Nothing a run computes without the prompts is computed twice. Before the
+first epoch the train images go through the patch embedding and the blocks
+before the stack's first insertion layer once, graph-free
+(:meth:`EncoderState.prefix`); every step resumes its forward from those
+rows, and the frozen features (for the re-formation and distillation
+losses) and the final train accuracy resume from the same prefix. The
+frozen path takes no gradients and is deterministic, so per-batch
 recomputation would produce the identical values.
 """
 
@@ -273,6 +278,8 @@ def prototype_bank(state: EncoderState, store, temperature: float) -> ClassEmbed
 def _forward_features(state: EncoderState, images) -> np.ndarray:
     """Feature matrix for a (possibly large) image set, in chunks, with the state's stack.
 
+    `images` may also be a :class:`~promptlab.encoder.Prefix` of the set.
+
     Every chunk runs under :func:`no_grad`, so no graph is recorded and no
     gradient buffer is allocated, even through prompts that require gradients.
     """
@@ -347,12 +354,12 @@ def train(
     sub_bank = bank.subset(train_classes)
     class_index = {c: i for i, c in enumerate(train_classes)}
     local_labels = np.array([class_index[int(c)] for c in task.train_labels])
-    images = task.train_images
-    n = len(images)
+    prefix = state.prefix(task.train_images)
+    n = len(prefix)
 
     needs_frozen = config.loss.mode in ("ref", "kd")
     frozen_state = EncoderState(encoder.config, encoder.weights, PromptStack.none())
-    frozen_feats = _forward_features(frozen_state, images) if needs_frozen else None
+    frozen_feats = _forward_features(frozen_state, prefix) if needs_frozen else None
 
     optimizer = SGD(stack.parameters(), momentum=config.momentum, weight_decay=config.weight_decay)
     total_epochs = config.epochs()
@@ -365,7 +372,7 @@ def train(
         order = np.random.default_rng(seed + epoch).permutation(n)
         for step_index, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start:start + config.batch_size]
-            feats = state.forward(images[idx])
+            feats = state.forward(prefix[idx])
             frozen = frozen_feats[idx] if needs_frozen else None
             loss, parts = step_loss(feats, frozen, sub_bank, local_labels[idx], config.loss)
             if not np.isfinite(loss.data).all():
@@ -390,7 +397,7 @@ def train(
 
     eval_metrics = evaluate_task(state, bank, task)
     eval_metrics["train_accuracy"] = _split_accuracy(
-        state, bank, images, task.train_labels, train_classes
+        state, bank, prefix, task.train_labels, train_classes
     )
     return RunRecord(
         seed=int(seed),

@@ -233,6 +233,25 @@ def test_concat_slice_roundtrip():
     assert np.array_equal(dc.slice_axis(joined, 1, 1, 5).data, parts[1].data)
 
 
+def test_reshape_is_a_view_with_exact_gradients():
+    # reshape shares its input's memory, so its result and the input must
+    # read the same values; the gradients through a chain of views, fanned
+    # out with the input itself, still match central differences.
+    x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+    y = dc.reshape(dc.reshape(x, (2, 6)), (12,))
+    assert np.shares_memory(y.data, x.data) and y.data.flags["C_CONTIGUOUS"]
+    rng = np.random.default_rng(21)
+    w = Tensor(rng.normal(size=(4, 3)))
+    v = Tensor(rng.normal(size=(3, 4)))
+
+    def f(t):
+        folded = dc.reshape(dc.reshape(t, (2, 6)), (4, 3))
+        return dc.add(dc.tensor_sum(dc.mul(folded, w)), dc.tensor_sum(dc.mul(dc.gelu(t), v)))
+
+    report = finite_difference_check(f, rng.normal(size=(3, 4)), tolerance=1e-6)
+    assert report.passed, str(report)
+
+
 def test_clamp_min_masks_gradient():
     x = Tensor(np.array([-1.0, 0.5, 2.0]), requires_grad=True)
     y = dc.tensor_sum(dc.clamp_min(x, 0.0))

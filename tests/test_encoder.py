@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import promptlab.diffcore as dc
+from promptlab import encoder
 from promptlab.encoder import (
     EncoderConfig,
     EncoderState,
+    Prefix,
     PromptStack,
     backbone_checksum,
     count_trainable_params,
@@ -357,6 +359,67 @@ def test_no_grad_forward_equals_graph_forward_bytes(cfg, strategy, layers, batch
     assert pruned.data.tobytes() == full.data.tobytes()
     assert full.requires_grad == (strategy != "none") and not pruned.requires_grad
     assert rows == full_rows[:-1] + [2]
+
+
+PREFIX_CASES = [(CFG, "none", ())] + [
+    (CFG, strategy, layers)
+    for strategy in ("shallow", "deep", "progressive")
+    for layers in ((0, 1), (1, 2), (2,))
+] + [
+    (ONE_PATCH, "none", ()),
+    (ONE_PATCH, "shallow", (1, 2)),
+    (ONE_PATCH, "deep", (1, 2)),
+    (ONE_PATCH, "progressive", (2,)),
+]
+
+
+def _features_and_prompt_grads(enc, source, up):
+    for _, tensor in enc.prompt_stack.parameters():
+        tensor.zero_grad()
+    feats = enc.forward(source)
+    if feats.requires_grad:
+        dc.tensor_sum(dc.mul(feats, up)).backward()
+    return feats.data.tobytes(), [t.grad.tobytes() for _, t in enc.prompt_stack.parameters()]
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5])
+@pytest.mark.parametrize("cfg, strategy, layers", PREFIX_CASES)
+def test_prefix_resumed_forward_equals_image_forward_bytes(cfg, strategy, layers, batch, monkeypatch):
+    # The prefix is built from a larger set in chunks of 3 images, as train
+    # builds one for all its images, and a minibatch of its rows is resumed.
+    monkeypatch.setattr(encoder, "_PREFIX_CHUNK", 3)
+    alpha = 0.1 if strategy == "progressive" else None
+    stack = PromptStack.create(strategy, 3, cfg.width, active_layers=layers, alpha=alpha, seed=4)
+    enc = EncoderState.create(cfg, stack)
+    imgs = _images(7, cfg, seed=batch)
+    prefix = enc.prefix(imgs)
+    assert prefix.block == enc.prefix_blocks == (layers[0] if layers else cfg.depth)
+    assert len(prefix) == 7 and prefix.tokens.shape[1:] == (1 + cfg.patch_count, cfg.width)
+    idx = np.random.default_rng(batch).permutation(7)[:batch]
+    up = dc.Tensor(np.random.default_rng(9).normal(size=(batch, cfg.output_dim)))
+
+    assert _features_and_prompt_grads(enc, prefix[idx], up) == _features_and_prompt_grads(enc, imgs[idx], up)
+    frozen = EncoderState(cfg, enc.weights, PromptStack.none())
+    with dc.no_grad():
+        for state in (enc, frozen):
+            assert state.forward(prefix[idx]).data.tobytes() == state.forward(imgs[idx]).data.tobytes()
+
+
+def test_prefix_past_first_insertion_layer_is_refused():
+    late = EncoderState.create(CFG, PromptStack.create("deep", 2, CFG.width, active_layers=(2,), seed=1))
+    early = EncoderState(CFG, late.weights, PromptStack.create("deep", 2, CFG.width, active_layers=(1, 2), seed=1))
+    prefix = late.prefix(_images(3))
+    with pytest.raises(ConfigError, match="past this stack's first insertion layer"):
+        early.forward(prefix)
+    assert early.forward(early.prefix(_images(3))).shape == (3, CFG.output_dim)
+    other = EncoderState.create(ONE_PATCH)
+    with pytest.raises(DimensionError):
+        other.forward(Prefix(prefix.tokens, 0))
+
+
+def test_prefix_of_no_images_is_empty():
+    prefix = EncoderState.create(CFG).prefix(np.zeros((0, CFG.patch_count, CFG.patch_dim)))
+    assert len(prefix) == 0 and prefix.tokens.shape == (0, 1 + CFG.patch_count, CFG.width)
 
 
 # ---------------------------------------------------------------------------

@@ -91,8 +91,9 @@ def test_layernorm_gradient_against_differences(backend):
 @on_backend
 def test_gelu_matches_closed_form(backend):
     x = np.linspace(-6, 6, 101)
-    expected = 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
-    assert np.allclose(kernels.gelu(x), expected, atol=1e-14)
+    y, t = kernels.gelu(x)
+    assert np.allclose(y, 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))), atol=1e-14)
+    assert np.array_equal(t, 1.0 + erf(x * 0.7071067811865476))
 
 
 @on_backend
@@ -100,9 +101,22 @@ def test_gelu_gradient_against_differences(backend):
     rng = np.random.default_rng(17)
     x = rng.normal(scale=2.0, size=(40,))
     up = rng.normal(size=(40,))
-    grad = kernels.gelu_grad(x, up)
-    numeric = _numeric_grad(lambda v: float((kernels.gelu(v) * up).sum()), x)
+    grad = kernels.gelu_grad(x, kernels.gelu(x)[1], up)
+    numeric = _numeric_grad(lambda v: float((kernels.gelu(v)[0] * up).sum()), x)
     assert np.allclose(grad, numeric, atol=1e-8)
+
+
+@on_backend
+def test_gelu_grad_from_stored_t_equals_two_erf_formula_bitwise(backend):
+    rng = np.random.default_rng(18)
+    x = rng.normal(scale=3.0, size=(6, 50))
+    g = rng.normal(size=(6, 50))
+    cdf = 0.5 * (1.0 + erf(x * 0.7071067811865476))
+    pdf = 0.3989422804014327 * np.exp(-0.5 * x * x)
+    two_erf = g * (cdf + x * pdf)
+    y, t = kernels.gelu(x)
+    assert kernels.gelu_grad(x, t, g).tobytes() == two_erf.tobytes()
+    assert y.tobytes() == (0.5 * x * (1.0 + erf(x * 0.7071067811865476))).tobytes()
 
 
 @on_backend
@@ -113,5 +127,5 @@ def test_noncontiguous_inputs_accepted(backend):
     assert not view.flags["C_CONTIGUOUS"]
     y = kernels.softmax_lastaxis(view)
     assert np.allclose(y.sum(-1), 1.0, atol=1e-12)
-    g = kernels.gelu(view)
-    assert g.shape == view.shape
+    g, t = kernels.gelu(view)
+    assert g.shape == t.shape == view.shape

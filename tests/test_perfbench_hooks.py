@@ -11,8 +11,9 @@ import sys
 import numpy as np
 
 from promptlab import diffcore, encoder, trainer
+from promptlab.data import SyntheticTaskSpec, generate_dataset, sample_k_shot
 from promptlab.encoder import EncoderConfig, EncoderState, PromptStack
-from promptlab.heads import ClassEmbeddingBank
+from promptlab.heads import ClassEmbeddingBank, LossConfig
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -69,3 +70,29 @@ def test_prompted_forward_feeds_prefix_and_eval_counters(monkeypatch):
     counted = {(kind, amount) for _, kind, amount in tracer.events}
     assert {("images", 2), ("prefix", 1), ("blocks", 2), ("images", 5)} <= counted
     assert probe.eval_images == 5
+
+
+def test_probe_times_one_step_per_optimizer_step(monkeypatch):
+    """The probe's step clock starts at the one forward a step makes outside
+    ``_forward_features``; a run resumed from a prefix must keep that shape,
+    and the forward's argument must have the batch's length."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import instrument
+
+    cfg = EncoderConfig(depth=3, width=8, heads=2, patch_count=3, patch_dim=4, output_dim=4)
+    spec = SyntheticTaskSpec(class_count=4, patch_count=3, patch_dim=4, samples_per_class=6)
+    task = sample_k_shot(generate_dataset(spec, 0), 2, 0, mode="few_shot")
+    bank = ClassEmbeddingBank.generate(4, cfg.output_dim, seed=0, temperature=0.1, max_cosine=0.9)
+    config = trainer.TrainConfig(strategy="deep", prompt_length=2, alpha=None, depth_range=(2, 3),
+                                 batch_size=3, max_epochs=2, shots=2, mode="few_shot",
+                                 loss=LossConfig(mode="kd"), eval_each_epoch=True)
+    patcher = instrument.Patcher()
+    probe = instrument.Probe()
+    try:
+        probe.install(patcher)
+        record = trainer.train(task, EncoderState.create(cfg), bank, config, seed=0)
+    finally:
+        patcher.restore()
+    assert len(probe.step_ms) == len(record.steps) == 2 * 3
+    assert all(ms > 0 for ms in probe.step_ms)
+    assert probe.train_images == 2 * len(task.train_images)

@@ -1,9 +1,11 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from promptlab import diffcore as dc
+from promptlab import kernels, trainer
 from promptlab.data import (
     FewShotTask,
     SyntheticTaskSpec,
@@ -11,7 +13,7 @@ from promptlab.data import (
     sample_k_shot,
 )
 from promptlab.diffcore import Tensor
-from promptlab.encoder import EncoderConfig, EncoderState, backbone_checksum
+from promptlab.encoder import EncoderConfig, EncoderState, PromptStack, backbone_checksum
 from promptlab.errors import ConfigError, DivergenceError, EvaluationError, InvariantError
 from promptlab.heads import ClassEmbeddingBank, LossConfig
 from promptlab.trainer import (
@@ -292,6 +294,77 @@ def test_depth_range_past_encoder_is_refused_before_any_forward(encoder, bank, m
     with pytest.raises(ConfigError, match="exceed encoder depth"):
         train(_episode(), encoder, bank, _short_config(depth_range=(1, 3)), seed=0)
     assert forwards == []
+
+
+def test_training_runs_frozen_work_once_per_run(bank, monkeypatch):
+    """A deep 2..3 run embeds its train images and runs block 0 on them once,
+    in one prefix pass: no step, frozen-feature pass or train-accuracy pass
+    repeats that work. Only the eval of the test images embeds again."""
+    deep3 = EncoderState.create(replace(ENC_CFG, depth=3))
+    task = _episode()
+    cfg = _short_config(strategy="deep", alpha=None, depth_range=(2, 3), batch_size=3,
+                        max_epochs=2, loss=LossConfig(mode="kd", kd_weight=0.4),
+                        eval_each_epoch=False)
+    where = []
+    calls = Counter()
+    embedded = Counter()
+
+    def entered(context, original):
+        def wrapped(*args):
+            where.append(context)
+            try:
+                return original(*args)
+            finally:
+                where.pop()
+        return wrapped
+
+    def embed(state, images):
+        context = where[-1] if where else "step"
+        calls["embed", context] += 1
+        embedded[context] += len(images)
+        return embed_patches(state, images)
+
+    def block(state, x, index, *args):
+        calls[index, where[-1] if where else "step"] += 1
+        return run_block(state, x, index, *args)
+
+    embed_patches, run_block = EncoderState.embed_patches, EncoderState._block
+    monkeypatch.setattr(EncoderState, "prefix", entered("prefix", EncoderState.prefix))
+    monkeypatch.setattr(trainer, "_forward_features", entered("features", trainer._forward_features))
+    monkeypatch.setattr(EncoderState, "embed_patches", embed)
+    monkeypatch.setattr(EncoderState, "_block", block)
+    record = train(task, deep3, bank, cfg, seed=0)
+
+    steps = len(record.steps)
+    assert steps == 2 * int(np.ceil(len(task.train_images) / 3))
+    assert calls["embed", "prefix"] == calls[0, "prefix"] == 1
+    assert calls[1, "prefix"] == calls[2, "prefix"] == 0
+    assert calls["embed", "step"] == calls[0, "step"] == 0
+    assert calls[1, "step"] == calls[2, "step"] == steps
+    assert embedded["prefix"] == len(task.train_images)
+    assert embedded["features"] == len(task.base_test_images) + len(task.novel_test_images)
+    # frozen features and train accuracy resume at block 1: one chunk each
+    assert calls[1, "features"] == calls[0, "features"] + 2
+
+
+def test_training_step_computes_one_erf_per_block(monkeypatch):
+    cfg = replace(ENC_CFG, depth=3)
+    stack = PromptStack.create("deep", 2, cfg.width, active_layers=(0, 1, 2), seed=0)
+    state = EncoderState.create(cfg, stack)
+    images = _episode().train_images[:4]
+    erf = kernels._erf
+    counted = []
+
+    def counting(x):
+        counted.append(x.shape)
+        return erf(x)
+
+    monkeypatch.setattr(kernels, "_erf", counting)
+    feats = state.forward(images)
+    assert len(counted) == cfg.depth
+    dc.tensor_sum(feats).backward()
+    assert len(counted) == cfg.depth
+    assert all(np.abs(t.grad).max() > 0 for _, t in stack.parameters())
 
 
 def test_passed_encoder_stack_is_not_replaced(encoder, bank):
