@@ -1,7 +1,8 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every tensor wraps a C-contiguous float64 array. Operations take Tensor
-operands only; a numpy array is not coerced into a constant. softmax,
+operands only; a numpy array is not coerced into a constant, and every
+operation refuses one with the same TypeError. softmax,
 layernorm, l2_normalize and logsumexp work on the last axis only.
 Operations build an implicit DAG through parent links;
 :meth:`Tensor.backward` walks it once in reverse topological order and
@@ -189,11 +190,19 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
+def _check_operands(op, *operands):
+    """Raise TypeError unless every operand of `op` is a Tensor; arrays are never coerced."""
+    for operand in operands:
+        if not isinstance(operand, Tensor):
+            raise TypeError(f"{op} takes Tensor operands only, got {type(operand).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # elementwise and structural primitives
 # ---------------------------------------------------------------------------
 
 def add(a, b):
+    _check_operands("add", a, b)
     data = a.data + b.data
 
     def backward(g):
@@ -206,6 +215,7 @@ def add(a, b):
 
 
 def sub(a, b):
+    _check_operands("sub", a, b)
     data = a.data - b.data
 
     def backward(g):
@@ -218,6 +228,7 @@ def sub(a, b):
 
 
 def mul(a, b):
+    _check_operands("mul", a, b)
     data = a.data * b.data
 
     def backward(g):
@@ -231,6 +242,7 @@ def mul(a, b):
 
 def scale(a, factor):
     """Multiply by a Python scalar."""
+    _check_operands("scale", a)
     factor = float(factor)
 
     def backward(g):
@@ -242,6 +254,7 @@ def scale(a, factor):
 
 def matmul(a, b):
     """Matrix product; supports a 2-d right operand or equal-batch operands."""
+    _check_operands("matmul", a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs matrices, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -272,6 +285,7 @@ def matmul(a, b):
 
 
 def concat(tensors, axis):
+    _check_operands("concat", *tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
     extents = [t.shape[axis] for t in tensors]
 
@@ -289,6 +303,7 @@ def concat(tensors, axis):
 
 def slice_axis(x, axis, start, stop):
     """Contiguous slice along one axis; exact inverse of concat on that range."""
+    _check_operands("slice_axis", x)
     index = [slice(None)] * x.ndim
     index[axis] = slice(start, stop)
     index = tuple(index)
@@ -303,6 +318,7 @@ def slice_axis(x, axis, start, stop):
 
 def reshape(x, shape):
     """A view of `x` in a new shape; see the module docstring for why no copy is needed."""
+    _check_operands("reshape", x)
     data = x.data.reshape(shape)
 
     def backward(g):
@@ -313,6 +329,7 @@ def reshape(x, shape):
 
 
 def swapaxes(x, axis1, axis2):
+    _check_operands("swapaxes", x)
     data = np.swapaxes(x.data, axis1, axis2).copy()
 
     def backward(g):
@@ -323,6 +340,7 @@ def swapaxes(x, axis1, axis2):
 
 
 def broadcast_to(x, shape):
+    _check_operands("broadcast_to", x)
     data = np.broadcast_to(x.data, shape).copy()
 
     def backward(g):
@@ -338,6 +356,7 @@ def broadcast_to(x, shape):
 
 def softmax(x):
     """Numerically stable softmax along the last axis."""
+    _check_operands("softmax", x)
     data = kernels.softmax_lastaxis(x.data)
 
     def backward(g):
@@ -349,6 +368,7 @@ def softmax(x):
 
 def layernorm(x, eps=1e-5):
     """Layer normalization over the last axis, without scale or shift."""
+    _check_operands("layernorm", x)
     data, mean, rstd = kernels.layernorm_lastaxis(x.data, eps)
 
     def backward(g):
@@ -360,6 +380,7 @@ def layernorm(x, eps=1e-5):
 
 def gelu(x):
     """Exact erf-based GELU."""
+    _check_operands("gelu", x)
     data, t = kernels.gelu(x.data)
 
     def backward(g):
@@ -371,6 +392,7 @@ def gelu(x):
 
 def l2_normalize(x):
     """Scale vectors along the last axis to unit Euclidean norm."""
+    _check_operands("l2_normalize", x)
     norms = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
     if np.any(norms == 0.0):
         raise DegenerateInputError("cannot normalize a zero-norm vector")
@@ -385,6 +407,7 @@ def l2_normalize(x):
 
 
 def log(x):
+    _check_operands("log", x)
     data = np.log(x.data)
 
     def backward(g):
@@ -396,6 +419,7 @@ def log(x):
 
 def clamp_min(x, floor):
     """Elementwise max(x, floor); gradient passes only where x exceeds the floor."""
+    _check_operands("clamp_min", x)
     floor = float(floor)
     data = np.maximum(x.data, floor)
     mask = x.data > floor
@@ -408,6 +432,7 @@ def clamp_min(x, floor):
 
 
 def tensor_sum(x, axis=None):
+    _check_operands("tensor_sum", x)
     data = x.data.sum(axis=axis)
 
     def backward(g):
@@ -422,6 +447,7 @@ def tensor_sum(x, axis=None):
 
 def logsumexp(x):
     """log of the sum of exponentials along the last axis, computed max-subtracted."""
+    _check_operands("logsumexp", x)
     m = x.data.max(axis=-1, keepdims=True)
     shifted = np.exp(x.data - m)
     total = shifted.sum(axis=-1, keepdims=True)
@@ -437,6 +463,7 @@ def logsumexp(x):
 
 def take_diagonal(x):
     """Diagonal of a square matrix as a vector."""
+    _check_operands("take_diagonal", x)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise DimensionError(f"diagonal requires a square matrix, got {x.shape}")
     n = x.shape[0]

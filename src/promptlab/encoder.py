@@ -345,19 +345,21 @@ class EncoderState:
         """The tokens of `images` entering block `prefix_blocks`, computed without a graph.
 
         Runs the patch embedding and the blocks before the first insertion
-        layer, in chunks of images under :func:`diffcore.no_grad`. None of it
-        depends on the prompts, so one prefix serves every forward of these
-        images, by this state or any other over the same weights whose
-        stack's first insertion layer is not before it.
+        layer, in chunks of images under :func:`diffcore.no_grad`, into one
+        token array allocated up front. None of it depends on the prompts,
+        and each image's rows do not depend on the other images, so one
+        prefix serves every forward of these images or of any slice of them:
+        training steps, the frozen features, every split of an evaluation,
+        by this state or any other over the same weights whose stack's first
+        insertion layer is not before it.
         """
         batch = self._as_batch(images)
         cfg = self.config
-        chunks = []
+        tokens = np.empty((len(batch), 1 + cfg.patch_count, cfg.width))
         with dc.no_grad():
             for start in range(0, len(batch), _PREFIX_CHUNK):
                 x = self.embed_patches(batch[start:start + _PREFIX_CHUNK])
-                chunks.append(self._blocks(x, 0, self.prefix_blocks).data)
-        tokens = np.concatenate(chunks) if chunks else np.empty((0, 1 + cfg.patch_count, cfg.width))
+                tokens[start:start + _PREFIX_CHUNK] = self._blocks(x, 0, self.prefix_blocks).data
         return Prefix(tokens, self.prefix_blocks)
 
     def _resume(self, prefix: Prefix) -> Tensor:

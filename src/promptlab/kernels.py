@@ -17,10 +17,14 @@ def active_backend():
 
 
 def softmax_lastaxis(x):
-    """Row-stochastic softmax along the last axis, computed max-subtracted."""
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-stochastic softmax along the last axis, computed max-subtracted.
+
+    The exponential is normalized in place, so the kernel holds at most two
+    arrays of x's size: the shifted logits and the output.
+    """
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax_lastaxis_grad(y, g):
@@ -46,9 +50,16 @@ def layernorm_lastaxis_grad(x, mean, rstd, g):
 
 
 def gelu(x):
-    """Exact (erf-based) GELU; returns (y, t) with t = 1 + erf(x / sqrt(2)) for backward."""
-    t = 1.0 + _erf(x * _INV_SQRT2)
-    return 0.5 * x * t, t
+    """Exact (erf-based) GELU; returns (y, t) with t = 1 + erf(x / sqrt(2)) for backward.
+
+    t and y are each finished in place in their own buffer, so at most two
+    arrays of x's size are live at any point of the kernel.
+    """
+    t = _erf(x * _INV_SQRT2)
+    t += 1.0
+    y = 0.5 * x
+    y *= t
+    return y, t
 
 
 def gelu_grad(x, t, g):

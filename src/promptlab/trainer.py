@@ -16,7 +16,10 @@ before the stack's first insertion layer once, graph-free
 rows, and the frozen features (for the re-formation and distillation
 losses) and the final train accuracy resume from the same prefix. The
 frozen path takes no gradients and is deterministic, so per-batch
-recomputation would produce the identical values.
+recomputation would produce the identical values. Evaluation does the
+same: the per-epoch eval pool gets its prefix once, before the first
+epoch, and :func:`evaluate_task` runs each test image's prefix once and
+scores the base, novel and all-class splits from slices of it.
 """
 
 import itertools
@@ -306,21 +309,26 @@ def _split_accuracy(state: EncoderState, bank: ClassEmbeddingBank, images, label
 
 
 def evaluate_task(state: EncoderState, bank: ClassEmbeddingBank, task: FewShotTask) -> Dict[str, float]:
-    """Split accuracies of the state's current prompts on a task."""
+    """Split accuracies of the state's current prompts on a task.
+
+    The test pool (base images, then novel) goes through the state's
+    unprompted prefix once; the base, novel and all-class splits resume
+    from slices of that one :class:`~promptlab.encoder.Prefix`.
+    """
+    pool = state.prefix(task.test_images)
+    n_base = len(task.base_test_images)
     metrics: Dict[str, float] = {}
-    base = _split_accuracy(state, bank, task.base_test_images, task.base_test_labels, task.split.base)
-    novel = _split_accuracy(state, bank, task.novel_test_images, task.novel_test_labels, task.split.novel)
+    base = _split_accuracy(state, bank, pool[:n_base], task.base_test_labels, task.split.base)
+    novel = _split_accuracy(state, bank, pool[n_base:], task.novel_test_labels, task.split.novel)
     if base is not None:
         metrics["base_accuracy"] = base
     if novel is not None:
         metrics["novel_accuracy"] = novel
     if base is not None and novel is not None:
         metrics["harmonic_mean"] = harmonic_mean(base, novel)
-    if task.mode == "few_shot" and len(task.test_images):
+    if task.mode == "few_shot" and len(pool):
         all_classes = sorted(task.split.base + task.split.novel)
-        metrics["test_accuracy"] = _split_accuracy(
-            state, bank, task.test_images, task.test_labels, all_classes
-        )
+        metrics["test_accuracy"] = _split_accuracy(state, bank, pool, task.test_labels, all_classes)
     return metrics
 
 
@@ -366,6 +374,7 @@ def train(
     steps: List[Dict[str, float]] = []
     epoch_eval: List[Optional[float]] = []
     eval_images, eval_labels, eval_classes = _epoch_eval_pool(task)
+    eval_pool = state.prefix(eval_images) if config.eval_each_epoch else None
 
     for epoch in range(total_epochs):
         lr_t = float(_lr_at(config, epoch, total_epochs))
@@ -392,7 +401,7 @@ def train(
             })
         if config.eval_each_epoch:
             epoch_eval.append(
-                _split_accuracy(state, bank, eval_images, eval_labels, eval_classes)
+                _split_accuracy(state, bank, eval_pool, eval_labels, eval_classes)
             )
 
     eval_metrics = evaluate_task(state, bank, task)

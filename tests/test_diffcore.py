@@ -75,14 +75,44 @@ def test_forward_is_deterministic():
     assert np.array_equal(run(), run())
 
 
-@pytest.mark.parametrize("op, args", [
-    (dc.add, (np.ones((2, 2)), Tensor(np.ones((2, 2))))),
-    (dc.matmul, (Tensor(np.ones((2, 2))), np.ones((2, 2)))),
-    (dc.softmax, (np.ones((2, 2)),)),
-    (dc.concat, ([Tensor(np.ones((2, 2))), np.ones((2, 2))], 0)),
-], ids=["add", "matmul", "softmax", "concat"])
-def test_ops_do_not_coerce_numpy_operands(op, args):
-    with pytest.raises((AttributeError, TypeError)):
+def _numpy_operand_calls():
+    """One call per op in ``dc.__all__``, each with a numpy array among its operands."""
+    arr, t = np.ones((2, 2)), Tensor(np.ones((2, 2)))
+    return {
+        "add": (dc.add, (arr, t)),
+        "sub": (dc.sub, (t, arr)),
+        "mul": (dc.mul, (arr, t)),
+        "scale": (dc.scale, (arr, 2.0)),
+        "matmul": (dc.matmul, (t, arr)),
+        "concat": (dc.concat, ([t, arr], 0)),
+        "slice_axis": (dc.slice_axis, (arr, 0, 0, 1)),
+        "reshape": (dc.reshape, (arr, (4,))),
+        "swapaxes": (dc.swapaxes, (arr, 0, 1)),
+        "broadcast_to": (dc.broadcast_to, (arr, (3, 2, 2))),
+        "softmax": (dc.softmax, (arr,)),
+        "layernorm": (dc.layernorm, (arr,)),
+        "gelu": (dc.gelu, (arr,)),
+        "l2_normalize": (dc.l2_normalize, (arr,)),
+        "log": (dc.log, (arr,)),
+        "clamp_min": (dc.clamp_min, (arr, 0.0)),
+        "tensor_sum": (dc.tensor_sum, (arr,)),
+        "logsumexp": (dc.logsumexp, (arr,)),
+        "take_diagonal": (dc.take_diagonal, (arr,)),
+    }
+
+
+_NON_OPS = {"Tensor", "GradCheckReport", "no_grad", "grad_enabled", "toposort",
+            "finite_difference_check"}
+
+
+def test_numpy_operand_cases_cover_every_op():
+    assert set(_numpy_operand_calls()) == set(dc.__all__) - _NON_OPS
+
+
+@pytest.mark.parametrize("name", sorted(_numpy_operand_calls()))
+def test_ops_do_not_coerce_numpy_operands(name):
+    op, args = _numpy_operand_calls()[name]
+    with pytest.raises(TypeError, match=f"^{name} takes Tensor operands only, got ndarray$"):
         op(*args)
 
 

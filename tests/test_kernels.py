@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -129,3 +131,43 @@ def test_noncontiguous_inputs_accepted(backend):
     assert np.allclose(y.sum(-1), 1.0, atol=1e-12)
     g, t = kernels.gelu(view)
     assert g.shape == t.shape == view.shape
+
+
+@on_backend
+@pytest.mark.parametrize("shape", [(3, 4, 25, 25), (5, 25, 128)])
+def test_in_place_kernels_equal_their_out_of_place_formulas_bitwise(backend, shape):
+    rng = np.random.default_rng(20)
+    x = rng.normal(scale=4.0, size=shape)
+    before = x.copy()
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    assert kernels.softmax_lastaxis(x).tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+    t = 1.0 + erf(x * 0.7071067811865476)
+    y, t_out = kernels.gelu(x)
+    assert t_out.tobytes() == t.tobytes()
+    assert y.tobytes() == (0.5 * x * t).tobytes()
+    assert x.tobytes() == before.tobytes()
+
+
+def _peak_allocated(fn, x):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = fn(x)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@on_backend
+def test_softmax_and_gelu_working_memory(backend):
+    """Softmax holds at most the shifted logits and its output, plus per-row
+    maxima and sums; GELU at most two arrays of its input's size at once (the
+    scaled input and erf, then t and y). The attention and MLP shapes of a
+    256-image chunk make these the peak of a forward, so the bounds keep it."""
+    rng = np.random.default_rng(21)
+    scores = rng.normal(size=(32, 4, 25, 25))
+    probs, peak = _peak_allocated(kernels.softmax_lastaxis, scores)
+    assert peak <= 2 * probs.nbytes + 2 * probs.nbytes // scores.shape[-1]
+    (y, _), peak = _peak_allocated(kernels.gelu, rng.normal(size=(32, 25, 128)))
+    assert peak <= 3 * y.nbytes

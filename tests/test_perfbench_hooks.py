@@ -96,3 +96,39 @@ def test_probe_times_one_step_per_optimizer_step(monkeypatch):
     assert len(probe.step_ms) == len(record.steps) == 2 * 3
     assert all(ms > 0 for ms in probe.step_ms)
     assert probe.train_images == 2 * len(task.train_images)
+
+
+def test_evaluate_task_makes_three_eval_feature_calls(monkeypatch):
+    """perfbench's eval_pool digest hashes every ``_forward_features`` result
+    in order, and its ``eval_images`` counts their lengths. A few-shot
+    ``evaluate_task`` must keep making exactly three such calls inside
+    ``_split_accuracy``: base, novel, then both, whatever the calls receive."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import instrument
+
+    cfg = EncoderConfig(depth=3, width=8, heads=2, patch_count=3, patch_dim=4, output_dim=4)
+    spec = SyntheticTaskSpec(class_count=4, patch_count=3, patch_dim=4, samples_per_class=6)
+    task = sample_k_shot(generate_dataset(spec, 0), 2, 0, mode="few_shot")
+    bank = ClassEmbeddingBank.generate(4, cfg.output_dim, seed=0, temperature=0.1, max_cosine=0.9)
+    stack = PromptStack.create("deep", 2, cfg.width, active_layers=(1, 2), seed=0)
+    state = EncoderState.create(cfg, stack)
+    patcher = instrument.Patcher()
+    probe = instrument.Probe()
+    calls = []
+
+    def recording(original):
+        def forward_features(state, images):
+            calls.append((len(images), probe._in_eval))
+            return original(state, images)
+        return forward_features
+
+    try:
+        probe.install(patcher)
+        patcher.wrap(trainer, "_forward_features", recording)
+        trainer.evaluate_task(state, bank, task)
+    finally:
+        patcher.restore()
+    n_base, n_novel = len(task.base_test_images), len(task.novel_test_images)
+    assert n_base and n_novel
+    assert calls == [(n_base, 1), (n_novel, 1), (n_base + n_novel, 1)]
+    assert probe.eval_images == 2 * (n_base + n_novel)

@@ -297,14 +297,15 @@ def test_depth_range_past_encoder_is_refused_before_any_forward(encoder, bank, m
 
 
 def test_training_runs_frozen_work_once_per_run(bank, monkeypatch):
-    """A deep 2..3 run embeds its train images and runs block 0 on them once,
-    in one prefix pass: no step, frozen-feature pass or train-accuracy pass
-    repeats that work. Only the eval of the test images embeds again."""
+    """A deep 2..3 run embeds each image and runs block 0 on it once, in a
+    prefix pass: the train images once for every step, the frozen features
+    and the train accuracy; the per-epoch eval pool once for every epoch;
+    the test pool once for the base and novel splits of the final eval."""
     deep3 = EncoderState.create(replace(ENC_CFG, depth=3))
     task = _episode()
     cfg = _short_config(strategy="deep", alpha=None, depth_range=(2, 3), batch_size=3,
                         max_epochs=2, loss=LossConfig(mode="kd", kd_weight=0.4),
-                        eval_each_epoch=False)
+                        eval_each_epoch=True)
     where = []
     calls = Counter()
     embedded = Counter()
@@ -337,14 +338,16 @@ def test_training_runs_frozen_work_once_per_run(bank, monkeypatch):
 
     steps = len(record.steps)
     assert steps == 2 * int(np.ceil(len(task.train_images) / 3))
-    assert calls["embed", "prefix"] == calls[0, "prefix"] == 1
+    # train images, the base-class epoch pool and the test pool: one chunk each
+    assert calls["embed", "prefix"] == calls[0, "prefix"] == 3
     assert calls[1, "prefix"] == calls[2, "prefix"] == 0
     assert calls["embed", "step"] == calls[0, "step"] == 0
     assert calls[1, "step"] == calls[2, "step"] == steps
-    assert embedded["prefix"] == len(task.train_images)
-    assert embedded["features"] == len(task.base_test_images) + len(task.novel_test_images)
-    # frozen features and train accuracy resume at block 1: one chunk each
-    assert calls[1, "features"] == calls[0, "features"] + 2
+    assert embedded["prefix"] == (len(task.train_images) + len(task.base_test_images)
+                                  + len(task.test_images))
+    assert calls["embed", "features"] == calls[0, "features"] == 0
+    # frozen features, 2 epoch evals, base, novel and train accuracy resume at block 1
+    assert calls[1, "features"] == 1 + 2 + 2 + 1
 
 
 def test_training_step_computes_one_erf_per_block(monkeypatch):
@@ -432,6 +435,107 @@ def test_evaluate_task_metric_keys(encoder, bank):
     from promptlab.evaluate import harmonic_mean
     assert b2n["harmonic_mean"] == pytest.approx(
         harmonic_mean(b2n["base_accuracy"], b2n["novel_accuracy"]))
+
+
+def _recording_features(monkeypatch):
+    """Patch trainer._forward_features to record (rows, features) of every call."""
+    seen = []
+    features = trainer._forward_features
+
+    def recording(state, images):
+        feats = features(state, images)
+        seen.append((len(images), feats))
+        return feats
+
+    monkeypatch.setattr(trainer, "_forward_features", recording)
+    return seen
+
+
+def test_evaluate_task_embeds_each_test_image_once(monkeypatch):
+    """On an eval_pool-shaped task the deep 3..4 stack embeds its 1680 test
+    images once, runs blocks 1 and 2 on each once, and resumes blocks 3 and 4
+    for the base, novel and all-class splits."""
+    spec = SyntheticTaskSpec(class_count=20, samples_per_class=100)
+    encoder = EncoderState.create(EncoderConfig())
+    store = generate_dataset(spec, 0)
+    bank = prototype_bank(encoder, store, temperature=0.2)
+    task = sample_k_shot(store, 16, 0, mode="few_shot")
+    stack = PromptStack.create("deep", 8, encoder.config.width, active_layers=(2, 3), seed=0)
+    state = EncoderState(encoder.config, encoder.weights, stack)
+    n_test = len(task.base_test_images) + len(task.novel_test_images)
+    assert n_test == 1680
+    rows = Counter()
+    embed_patches, run_block = EncoderState.embed_patches, EncoderState._block
+
+    def embed(state, images):
+        rows["embed"] += len(images)
+        return embed_patches(state, images)
+
+    def block(state, x, index, *args):
+        rows[index] += x.shape[0]
+        return run_block(state, x, index, *args)
+
+    monkeypatch.setattr(EncoderState, "embed_patches", embed)
+    monkeypatch.setattr(EncoderState, "_block", block)
+    evaluate_task(state, bank, task)
+    assert rows["embed"] == rows[0] == rows[1] == n_test
+    assert rows[2] == rows[3] == 2 * n_test
+
+
+def _eval_world(mode, empty_novel):
+    spec = SyntheticTaskSpec(class_count=4, patch_count=4, patch_dim=6, samples_per_class=150,
+                             noise_std=0.2, shift_magnitude=1.5)
+    store = generate_dataset(spec, 0)
+    task = sample_k_shot(store, 4, 0, mode=mode)
+    if empty_novel:
+        task = replace(task, novel_test_images=task.novel_test_images[:0],
+                       novel_test_labels=task.novel_test_labels[:0],
+                       novel_test_ids=task.novel_test_ids[:0])
+    return task
+
+
+@pytest.mark.parametrize("mode, empty_novel", [
+    ("few_shot", False), ("base_to_novel", False), ("few_shot", True),
+], ids=["few_shot", "base_to_novel", "few_shot-empty-novel"])
+def test_evaluate_task_matches_per_split_image_forwards_bitwise(bank, monkeypatch, mode, empty_novel):
+    """Every split resumes from one prefix of the pool, whose chunks of 256
+    images do not line up with the splits, with the bytes of forwards from
+    each split's images."""
+    task = _eval_world(mode, empty_novel)
+    assert len(task.test_images) > 256
+    encoder = EncoderState.create(replace(ENC_CFG, depth=3))
+    all_classes = sorted(task.split.base + task.split.novel)
+    splits = [
+        (task.base_test_images, task.base_test_labels, task.split.base),
+        (task.novel_test_images, task.novel_test_labels, task.split.novel),
+    ]
+    if mode == "few_shot":
+        splits.append((task.test_images, task.test_labels, all_classes))
+    splits = [s for s in splits if len(s[0])]
+    stacks = [PromptStack.none()] + [
+        TrainConfig(strategy=strategy, depth_range=depth,
+                    alpha=0.1 if strategy == "progressive" else None).prompt_stack(ENC_CFG.width, seed=1)
+        for strategy in ("shallow", "deep", "progressive")
+        for depth in ((1, 2), (2, 3), (3, 3))
+    ]
+    for stack in stacks:
+        state = EncoderState(encoder.config, encoder.weights, stack)
+        expected = [_forward_features(state, images) for images, _, _ in splits]
+        expected_scores = [trainer._split_accuracy(state, bank, *split) for split in splits]
+        seen = _recording_features(monkeypatch)
+        metrics = evaluate_task(state, bank, task)
+        monkeypatch.undo()
+        assert [rows for rows, _ in seen] == [len(images) for images, _, _ in splits]
+        assert [f.tobytes() for _, f in seen] == [f.tobytes() for f in expected]
+        assert metrics["base_accuracy"] == expected_scores[0]
+        if empty_novel:
+            assert "novel_accuracy" not in metrics and "harmonic_mean" not in metrics
+        else:
+            assert metrics["novel_accuracy"] == expected_scores[1]
+        if mode == "few_shot":
+            assert metrics["test_accuracy"] == expected_scores[-1]
+        else:
+            assert "test_accuracy" not in metrics
 
 
 def test_non_finite_features_are_not_scored(encoder, bank):
