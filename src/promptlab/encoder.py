@@ -222,18 +222,20 @@ def progressive_combine(fresh: Tensor, prev_output: Tensor, alpha) -> Tensor:
 class Prefix:
     """Token arrays of a batch of images entering block `block`, from :meth:`EncoderState.prefix`.
 
-    `tokens` is shaped (batch, 1 + patch_count, width) and is never written.
-    Indexing selects images and keeps the block; ``len`` is the image count.
+    `tokens` is shaped (batch, 1 + patch_count, width) and is never written;
+    `weights` is the backbone mapping that computed them. Indexing selects
+    images and keeps the block and weights; ``len`` is the image count.
     """
 
     tokens: np.ndarray
     block: int
+    weights: Dict[str, Tensor]
 
     def __len__(self):
         return len(self.tokens)
 
     def __getitem__(self, rows) -> "Prefix":
-        return Prefix(self.tokens[rows], self.block)
+        return Prefix(self.tokens[rows], self.block, self.weights)
 
 
 class EncoderState:
@@ -360,10 +362,12 @@ class EncoderState:
             for start in range(0, len(batch), _PREFIX_CHUNK):
                 x = self.embed_patches(batch[start:start + _PREFIX_CHUNK])
                 tokens[start:start + _PREFIX_CHUNK] = self._blocks(x, 0, self.prefix_blocks).data
-        return Prefix(tokens, self.prefix_blocks)
+        return Prefix(tokens, self.prefix_blocks, self.weights)
 
     def _resume(self, prefix: Prefix) -> Tensor:
         cfg = self.config
+        if prefix.weights is not self.weights:
+            raise ConfigError("prefix was computed by another backbone's weights")
         if prefix.block > self.prefix_blocks:
             raise ConfigError(
                 f"prefix at block {prefix.block} lies past this stack's first insertion "
@@ -382,8 +386,8 @@ class EncoderState:
         `images` is a (batch, patch_count, patch_dim) array, or a
         :class:`Prefix` of one from :meth:`prefix`, which the forward resumes
         at its block with the same bits. The features are shaped (batch,
-        output_dim). A prefix past the first insertion layer raises
-        ConfigError.
+        output_dim). A prefix past the first insertion layer, or from
+        another weights mapping, raises ConfigError.
         """
         if isinstance(images, Prefix):
             x, start = self._resume(images), images.block

@@ -174,8 +174,8 @@ def cosine_logits(features: Tensor, bank: ClassEmbeddingBank) -> Tensor:
     return dc.softmax(dc.scale(sims, 1.0 / bank.temperature))
 
 
-def _clamped_log(probs: Tensor, picked_values: np.ndarray, what: str) -> Tensor:
-    clamps = int((picked_values < CLAMP_EPS).sum())
+def _clamped_log(probs: Tensor, what: str) -> Tensor:
+    clamps = int((probs.data < CLAMP_EPS).sum())
     if clamps:
         clamp_counter.add(clamps)
         warnings.warn(
@@ -200,7 +200,7 @@ def cross_entropy(probabilities: Tensor, labels) -> Tensor:
             f"{targets.shape[0]} labels do not match probabilities {probabilities.shape}"
         )
     picked = dc.tensor_sum(dc.mul(probabilities, Tensor(targets)), axis=1)
-    log_picked = _clamped_log(picked, picked.data, "cross_entropy")
+    log_picked = _clamped_log(picked, "cross_entropy")
     return dc.scale(dc.tensor_sum(log_picked), -1.0 / batch)
 
 
@@ -241,8 +241,8 @@ def kd_loss(prompted_probs: Tensor, frozen_probs: Tensor) -> Tensor:
         )
     batch = prompted_probs.shape[0]
     reference = frozen_probs.detach()
-    log_ref = _clamped_log(reference, reference.data, "kd_loss (reference)")
-    log_prompted = _clamped_log(prompted_probs, prompted_probs.data, "kd_loss (prompted)")
+    log_ref = _clamped_log(reference, "kd_loss (reference)")
+    log_prompted = _clamped_log(prompted_probs, "kd_loss (prompted)")
     per_entry = dc.mul(reference, dc.sub(log_ref, log_prompted))
     return dc.scale(dc.tensor_sum(per_entry), 1.0 / batch)
 

@@ -34,19 +34,18 @@ def softmax_lastaxis_grad(y, g):
 
 
 def layernorm_lastaxis(x, eps):
-    """Layer norm over the last axis, no scale or shift; returns (y, mean, rstd) for backward."""
+    """Layer norm over the last axis, no scale or shift; returns (y, rstd) for backward."""
     mean = x.mean(axis=-1, keepdims=True)
     var = ((x - mean) ** 2).mean(axis=-1, keepdims=True)
     rstd = 1.0 / np.sqrt(var + eps)
-    return (x - mean) * rstd, mean[..., 0], rstd[..., 0]
+    return (x - mean) * rstd, rstd[..., 0]
 
 
-def layernorm_lastaxis_grad(x, mean, rstd, g):
-    """Input gradient of the last-axis layer norm."""
-    xhat = (x - mean[..., None]) * rstd[..., None]
+def layernorm_lastaxis_grad(y, rstd, g):
+    """Input gradient of the last-axis layer norm, given its output y."""
     g_mean = g.mean(axis=-1, keepdims=True)
-    gx_mean = (g * xhat).mean(axis=-1, keepdims=True)
-    return rstd[..., None] * (g - g_mean - xhat * gx_mean)
+    gy_mean = (g * y).mean(axis=-1, keepdims=True)
+    return rstd[..., None] * (g - g_mean - y * gy_mean)
 
 
 def gelu(x):

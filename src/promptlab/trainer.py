@@ -17,9 +17,9 @@ rows, and the frozen features (for the re-formation and distillation
 losses) and the final train accuracy resume from the same prefix. The
 frozen path takes no gradients and is deterministic, so per-batch
 recomputation would produce the identical values. Evaluation does the
-same: the per-epoch eval pool gets its prefix once, before the first
-epoch, and :func:`evaluate_task` runs each test image's prefix once and
-scores the base, novel and all-class splits from slices of it.
+same: one test-pool prefix per run, before the first epoch, and one split
+table (:func:`_splits`) say what the per-epoch eval (the mode's headline
+split) and the final metrics (every split) score, from slices of it.
 """
 
 import itertools
@@ -196,7 +196,7 @@ class RunRecord:
     prompt_state: Dict[str, np.ndarray]
 
     def to_json_dict(self) -> Dict[str, object]:
-        out = {
+        return {
             "seed": self.seed,
             "coordinates": self.coordinates,
             "steps": self.steps,
@@ -205,7 +205,6 @@ class RunRecord:
             "trainable_params": self.trainable_params,
             "clamp_events": self.clamp_events,
         }
-        return out
 
 
 def save_records(path, records: Sequence[RunRecord]) -> None:
@@ -298,7 +297,6 @@ def _split_accuracy(state: EncoderState, bank: ClassEmbeddingBank, images, label
     """Accuracy classifying `images` among `classes` only."""
     if len(images) == 0:
         return None
-    classes = list(classes)
     sub = bank.subset(classes)
     feats = _forward_features(state, images)
     if not np.isfinite(feats).all():
@@ -308,35 +306,38 @@ def _split_accuracy(state: EncoderState, bank: ClassEmbeddingBank, images, label
     return accuracy(predictions, labels)
 
 
+def _splits(task: FewShotTask) -> Dict[str, Tuple[slice, np.ndarray, Sequence[int]]]:
+    """Metric name -> (rows of ``task.test_images``, labels, classes): base,
+    novel, then in ``few_shot`` mode the all-class split."""
+    n_base = len(task.base_test_images)
+    splits = {
+        "base_accuracy": (slice(0, n_base), task.base_test_labels, task.split.base),
+        "novel_accuracy": (slice(n_base, None), task.novel_test_labels, task.split.novel),
+    }
+    if task.mode == "few_shot":
+        splits["test_accuracy"] = (slice(None), task.test_labels, sorted(task.split.base + task.split.novel))
+    return splits
+
+
+def _score(state: EncoderState, bank: ClassEmbeddingBank, task: FewShotTask, pool) -> Dict[str, float]:
+    """Every split of :func:`_splits` that has images, read from `pool`, the test pool's prefix."""
+    scores = {name: _split_accuracy(state, bank, pool[rows], labels, classes)
+              for name, (rows, labels, classes) in _splits(task).items()}
+    metrics = {name: value for name, value in scores.items() if value is not None}
+    if "base_accuracy" in metrics and "novel_accuracy" in metrics:
+        metrics["harmonic_mean"] = harmonic_mean(metrics["base_accuracy"], metrics["novel_accuracy"])
+    return metrics
+
+
 def evaluate_task(state: EncoderState, bank: ClassEmbeddingBank, task: FewShotTask) -> Dict[str, float]:
     """Split accuracies of the state's current prompts on a task.
 
     The test pool (base images, then novel) goes through the state's
     unprompted prefix once; the base, novel and all-class splits resume
-    from slices of that one :class:`~promptlab.encoder.Prefix`.
+    from slices of that one :class:`~promptlab.encoder.Prefix`, as in
+    :func:`train`, which builds one test-pool prefix per run.
     """
-    pool = state.prefix(task.test_images)
-    n_base = len(task.base_test_images)
-    metrics: Dict[str, float] = {}
-    base = _split_accuracy(state, bank, pool[:n_base], task.base_test_labels, task.split.base)
-    novel = _split_accuracy(state, bank, pool[n_base:], task.novel_test_labels, task.split.novel)
-    if base is not None:
-        metrics["base_accuracy"] = base
-    if novel is not None:
-        metrics["novel_accuracy"] = novel
-    if base is not None and novel is not None:
-        metrics["harmonic_mean"] = harmonic_mean(base, novel)
-    if task.mode == "few_shot" and len(pool):
-        all_classes = sorted(task.split.base + task.split.novel)
-        metrics["test_accuracy"] = _split_accuracy(state, bank, pool, task.test_labels, all_classes)
-    return metrics
-
-
-def _epoch_eval_pool(task: FewShotTask):
-    if task.mode == "base_to_novel":
-        return task.base_test_images, task.base_test_labels, list(task.split.base)
-    pool_classes = sorted(task.split.base + task.split.novel)
-    return task.test_images, task.test_labels, pool_classes
+    return _score(state, bank, task, state.prefix(task.test_images))
 
 
 def train(
@@ -373,8 +374,9 @@ def train(
     total_epochs = config.epochs()
     steps: List[Dict[str, float]] = []
     epoch_eval: List[Optional[float]] = []
-    eval_images, eval_labels, eval_classes = _epoch_eval_pool(task)
-    eval_pool = state.prefix(eval_images) if config.eval_each_epoch else None
+    pool = state.prefix(task.test_images)
+    headline = "base_accuracy" if task.mode == "base_to_novel" else "test_accuracy"
+    eval_rows, eval_labels, eval_classes = _splits(task)[headline]
 
     for epoch in range(total_epochs):
         lr_t = float(_lr_at(config, epoch, total_epochs))
@@ -400,11 +402,9 @@ def train(
                 **{k: v.item() for k, v in parts.items()},
             })
         if config.eval_each_epoch:
-            epoch_eval.append(
-                _split_accuracy(state, bank, eval_pool, eval_labels, eval_classes)
-            )
+            epoch_eval.append(_split_accuracy(state, bank, pool[eval_rows], eval_labels, eval_classes))
 
-    eval_metrics = evaluate_task(state, bank, task)
+    eval_metrics = _score(state, bank, task, pool)
     eval_metrics["train_accuracy"] = _split_accuracy(
         state, bank, prefix, task.train_labels, train_classes
     )

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -414,7 +416,22 @@ def test_prefix_past_first_insertion_layer_is_refused():
     assert early.forward(early.prefix(_images(3))).shape == (3, CFG.output_dim)
     other = EncoderState.create(ONE_PATCH)
     with pytest.raises(DimensionError):
-        other.forward(Prefix(prefix.tokens, 0))
+        other.forward(Prefix(prefix.tokens, 0, other.weights))
+
+
+def test_prefix_from_another_backbone_is_refused():
+    """A prefix is resumed only by states over the weights that computed it:
+    another seed's backbone of the same shape would resume it without a shape
+    error and return plausible features of the wrong tower."""
+    mine = EncoderState.create(CFG)
+    other = EncoderState.create(replace(CFG, seed=5))
+    prefix = mine.prefix(_images(3))
+    for rows in (prefix, prefix[1:]):
+        with pytest.raises(ConfigError, match="another backbone"):
+            other.forward(rows)
+    shared = EncoderState(CFG, mine.weights, PromptStack.none())
+    with dc.no_grad():
+        assert shared.forward(prefix).data.tobytes() == mine.forward(_images(3)).data.tobytes()
 
 
 def test_prefix_of_no_images_is_empty():

@@ -5,10 +5,12 @@ run over one small forward, and taken off again. Nothing under
 ``perfbench/`` is changed.
 """
 
+import json
 import os
 import sys
 
 import numpy as np
+import pytest
 
 from promptlab import diffcore, encoder, trainer
 from promptlab.data import SyntheticTaskSpec, generate_dataset, sample_k_shot
@@ -23,6 +25,17 @@ def _bindings():
     owners = [m for n, m in sys.modules.items() if n == "promptlab" or n.startswith("promptlab.")]
     owners += [encoder.EncoderState, trainer.SGD, diffcore.Tensor]
     return {(id(owner), key): value for owner in owners for key, value in vars(owner).items()}
+
+
+def _record_feature_calls(patcher, probe, calls):
+    """Append (image count, inside ``_split_accuracy``) for every ``_forward_features`` call."""
+    def recording(original):
+        def forward_features(state, images):
+            calls.append((len(images), probe._in_eval))
+            return original(state, images)
+        return forward_features
+
+    patcher.wrap(trainer, "_forward_features", recording)
 
 
 def test_probe_and_tracer_install_run_and_restore(monkeypatch):
@@ -115,16 +128,9 @@ def test_evaluate_task_makes_three_eval_feature_calls(monkeypatch):
     patcher = instrument.Patcher()
     probe = instrument.Probe()
     calls = []
-
-    def recording(original):
-        def forward_features(state, images):
-            calls.append((len(images), probe._in_eval))
-            return original(state, images)
-        return forward_features
-
     try:
         probe.install(patcher)
-        patcher.wrap(trainer, "_forward_features", recording)
+        _record_feature_calls(patcher, probe, calls)
         trainer.evaluate_task(state, bank, task)
     finally:
         patcher.restore()
@@ -132,3 +138,59 @@ def test_evaluate_task_makes_three_eval_feature_calls(monkeypatch):
     assert n_base and n_novel
     assert calls == [(n_base, 1), (n_novel, 1), (n_base + n_novel, 1)]
     assert probe.eval_images == 2 * (n_base + n_novel)
+
+
+def test_epoch_eval_is_one_base_split_call_per_epoch(monkeypatch):
+    """A ``base_to_novel`` run with ``eval_each_epoch`` scores each epoch with
+    one ``_forward_features`` call of the base test images inside
+    ``_split_accuracy``, then the base, novel and train splits; the probe's
+    ``eval_images`` counts every one of them."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import instrument
+
+    cfg = EncoderConfig(depth=3, width=8, heads=2, patch_count=3, patch_dim=4, output_dim=4)
+    spec = SyntheticTaskSpec(class_count=4, patch_count=3, patch_dim=4, samples_per_class=6)
+    task = sample_k_shot(generate_dataset(spec, 0), 2, 0, mode="base_to_novel")
+    bank = ClassEmbeddingBank.generate(4, cfg.output_dim, seed=0, temperature=0.1, max_cosine=0.9)
+    config = trainer.TrainConfig(strategy="deep", prompt_length=2, alpha=None, depth_range=(2, 3),
+                                 batch_size=3, max_epochs=3, shots=2, mode="base_to_novel",
+                                 loss=LossConfig(mode="kd"), eval_each_epoch=True)
+    patcher = instrument.Patcher()
+    probe = instrument.Probe()
+    calls = []
+    try:
+        probe.install(patcher)
+        _record_feature_calls(patcher, probe, calls)
+        record = trainer.train(task, EncoderState.create(cfg), bank, config, seed=0)
+    finally:
+        patcher.restore()
+    n_train, n_base, n_novel = len(task.train_images), len(task.base_test_images), len(task.novel_test_images)
+    assert n_base and n_novel and len(record.epoch_eval) == 3
+    assert calls == [(n_train, 0)] + [(n_base, 1)] * 3 + [(n_base, 1), (n_novel, 1), (n_train, 1)]
+    assert probe.eval_images == 3 * n_base + n_base + n_novel + n_train
+
+
+def _pinned_digests():
+    with open(os.path.join(PERFBENCH, "digests.json"), encoding="ascii") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", ["b2n_train", "fewshot_late", "eval_pool"])
+def test_workload_operation_matches_pinned_digest(name, seed, monkeypatch):
+    """One operation of each benchmark workload, with the probe that hashes
+    its feature matrices installed, gives the digest ``digests.json`` pins."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import instrument
+    import workloads
+
+    workload = workloads.WORKLOADS[name]
+    inputs = workload.setup(seed)
+    patcher = instrument.Patcher()
+    probe = instrument.Probe()
+    try:
+        probe.install(patcher)
+        outcome = workload.operate(inputs)
+    finally:
+        patcher.restore()
+    assert workload.digest(outcome, probe.features.hexdigest()) == _pinned_digests()[name][str(seed)]

@@ -299,8 +299,8 @@ def test_depth_range_past_encoder_is_refused_before_any_forward(encoder, bank, m
 def test_training_runs_frozen_work_once_per_run(bank, monkeypatch):
     """A deep 2..3 run embeds each image and runs block 0 on it once, in a
     prefix pass: the train images once for every step, the frozen features
-    and the train accuracy; the per-epoch eval pool once for every epoch;
-    the test pool once for the base and novel splits of the final eval."""
+    and the train accuracy; the test pool once for every epoch's base-split
+    eval and the base and novel splits of the final eval."""
     deep3 = EncoderState.create(replace(ENC_CFG, depth=3))
     task = _episode()
     cfg = _short_config(strategy="deep", alpha=None, depth_range=(2, 3), batch_size=3,
@@ -312,6 +312,7 @@ def test_training_runs_frozen_work_once_per_run(bank, monkeypatch):
 
     def entered(context, original):
         def wrapped(*args):
+            calls["called", context] += 1
             where.append(context)
             try:
                 return original(*args)
@@ -338,13 +339,12 @@ def test_training_runs_frozen_work_once_per_run(bank, monkeypatch):
 
     steps = len(record.steps)
     assert steps == 2 * int(np.ceil(len(task.train_images) / 3))
-    # train images, the base-class epoch pool and the test pool: one chunk each
-    assert calls["embed", "prefix"] == calls[0, "prefix"] == 3
+    # the train images and the test pool: one chunk each
+    assert calls["called", "prefix"] == calls["embed", "prefix"] == calls[0, "prefix"] == 2
     assert calls[1, "prefix"] == calls[2, "prefix"] == 0
     assert calls["embed", "step"] == calls[0, "step"] == 0
     assert calls[1, "step"] == calls[2, "step"] == steps
-    assert embedded["prefix"] == (len(task.train_images) + len(task.base_test_images)
-                                  + len(task.test_images))
+    assert embedded["prefix"] == len(task.train_images) + len(task.test_images)
     assert calls["embed", "features"] == calls[0, "features"] == 0
     # frozen features, 2 epoch evals, base, novel and train accuracy resume at block 1
     assert calls[1, "features"] == 1 + 2 + 2 + 1
