@@ -4,22 +4,24 @@ Every tensor wraps a C-contiguous float64 array. Operations take Tensor
 operands only; a numpy array is not coerced into a constant, and every
 operation refuses one with the same TypeError. softmax,
 layernorm, l2_normalize and logsumexp work on the last axis only.
-Operations build an implicit DAG through parent links;
-:meth:`Tensor.backward` walks it once in reverse topological order and
-accumulates adjoints additively, so fan-out sums path contributions. Leaf tensors created with ``requires_grad=True``
-carry a zero-initialized gradient accumulator from birth; results of
-operations require gradients exactly when one of their inputs does, and
-operations whose inputs are all gradient-free record no parents at all,
-which detaches frozen computations for free. An operation result gets its
-gradient buffer from the backward pass that fills it, so a forward that
-never reaches :meth:`Tensor.backward` allocates none. Inside :func:`no_grad`
+Operations build an implicit DAG through parent links. Leaf tensors created
+with ``requires_grad=True`` carry a zero-initialized gradient from birth;
+results of operations require gradients exactly when one of their inputs
+does, and operations whose inputs are all gradient-free record no parents
+at all, which detaches frozen computations for free. Inside :func:`no_grad`
 operations record no graph whatever their inputs; the mode is per thread.
 
-No operation writes into the data of its operands or of an operation
-result, and backward passes write only gradient buffers. So a result may
-share memory with its input: :func:`reshape` returns a view. Only leaf data
-is ever updated in place (an optimizer step on prompts, a checkpoint load),
-and never while a graph built from it still awaits its backward pass.
+An operation's backward closure returns one gradient per parent (None for
+one that needs none) and stores nothing. :meth:`Tensor.backward` stores
+them: a node's first gradient becomes its ``grad`` as returned, and later
+ones are summed into a new array. So gradients may share memory with each
+other (a reshape's is a view), and none is written in place once stored,
+except by :meth:`Tensor.zero_grad` on a leaf, whose gradient is its own. No
+operation writes into the data of its operands or of an operation result,
+so a result may share memory with its input: :func:`reshape` returns a
+view. Only leaf data is ever updated in place (an optimizer step on
+prompts, a checkpoint load), and never while a graph built from it still
+awaits its backward pass.
 
 Execution order is the insertion order of operations, so a forward pass is
 bit-deterministic for fixed inputs.
@@ -103,25 +105,23 @@ class Tensor:
             self.grad[...] = 0.0
 
     def backward(self):
-        """Accumulate d(self)/d(leaf) into every reachable gradient.
+        """Add d(self)/d(node) to the gradient of every reachable node.
 
-        Only scalar roots are supported; each graph node's backward hook
-        runs exactly once, in reverse insertion order. Reached operation
-        results that have no gradient buffer yet get a zeroed one here;
-        leaves already own theirs.
+        Only scalar roots are supported. Each node's closure runs once, in
+        reverse topological order; a parent without a gradient takes the one
+        returned as is, and one with a gradient gets the sum in a new array.
         """
         if self.size != 1:
             raise DimensionError(f"backward requires a scalar root, got shape {self.shape}")
         if not self.requires_grad:
             return
-        order = toposort(self)
-        for node in order:
-            if node.requires_grad and node.grad is None:
-                node.grad = np.zeros_like(node.data)
-        self.grad[...] = 1.0
-        for node in reversed(order):
-            if node._backward_fn is not None:
-                node._backward_fn(node.grad)
+        self.grad = np.ones_like(self.data)
+        for node in reversed(toposort(self)):
+            if node._backward_fn is None:
+                continue
+            for parent, grad in zip(node._parents, node._backward_fn(node.grad)):
+                if parent.requires_grad:
+                    parent.grad = grad if parent.grad is None else parent.grad + grad
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
@@ -206,10 +206,8 @@ def add(a, b):
     data = a.data + b.data
 
     def backward(g):
-        if a.requires_grad:
-            a.grad += _unbroadcast(g, a.shape)
-        if b.requires_grad:
-            b.grad += _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _from_op(data, (a, b), backward, "add")
 
@@ -219,10 +217,8 @@ def sub(a, b):
     data = a.data - b.data
 
     def backward(g):
-        if a.requires_grad:
-            a.grad += _unbroadcast(g, a.shape)
-        if b.requires_grad:
-            b.grad -= _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                -_unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _from_op(data, (a, b), backward, "sub")
 
@@ -232,10 +228,8 @@ def mul(a, b):
     data = a.data * b.data
 
     def backward(g):
-        if a.requires_grad:
-            a.grad += _unbroadcast(g * b.data, a.shape)
-        if b.requires_grad:
-            b.grad += _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _from_op(data, (a, b), backward, "mul")
 
@@ -246,8 +240,7 @@ def scale(a, factor):
     factor = float(factor)
 
     def backward(g):
-        if a.requires_grad:
-            a.grad += g * factor
+        return (g * factor,)
 
     return _from_op(a.data * factor, (a,), backward, "scale")
 
@@ -263,21 +256,16 @@ def matmul(a, b):
         data = np.matmul(a.data, b.data)
 
         def backward(g):
-            if a.requires_grad:
-                a.grad += np.matmul(g, b.data.T)
-            if b.requires_grad:
-                k = a.shape[-1]
-                m = b.shape[-1]
-                b.grad += np.matmul(a.data.reshape(-1, k).T, g.reshape(-1, m))
+            return (np.matmul(g, b.data.T) if a.requires_grad else None,
+                    np.matmul(a.data.reshape(-1, a.shape[-1]).T, g.reshape(-1, b.shape[-1]))
+                    if b.requires_grad else None)
 
     elif a.ndim == b.ndim and a.shape[:-2] == b.shape[:-2]:
         data = np.matmul(a.data, b.data)
 
         def backward(g):
-            if a.requires_grad:
-                a.grad += np.matmul(g, np.swapaxes(b.data, -1, -2))
-            if b.requires_grad:
-                b.grad += np.matmul(np.swapaxes(a.data, -1, -2), g)
+            return (np.matmul(g, np.swapaxes(b.data, -1, -2)) if a.requires_grad else None,
+                    np.matmul(np.swapaxes(a.data, -1, -2), g) if b.requires_grad else None)
 
     else:
         raise DimensionError(f"unsupported matmul batching: {a.shape} @ {b.shape}")
@@ -290,13 +278,13 @@ def concat(tensors, axis):
     extents = [t.shape[axis] for t in tensors]
 
     def backward(g):
-        offset = 0
-        for t, extent in zip(tensors, extents):
-            if t.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(offset, offset + extent)
-                t.grad += g[tuple(index)]
+        index = [slice(None)] * g.ndim
+        pieces, offset = [], 0
+        for extent in extents:
+            index[axis] = slice(offset, offset + extent)
+            pieces.append(g[tuple(index)])
             offset += extent
+        return pieces
 
     return _from_op(data, tuple(tensors), backward, "concat")
 
@@ -310,8 +298,9 @@ def slice_axis(x, axis, start, stop):
     data = x.data[index].copy()
 
     def backward(g):
-        if x.requires_grad:
-            x.grad[index] += g
+        full = np.zeros_like(x.data)
+        full[index] = g
+        return (full,)
 
     return _from_op(data, (x,), backward, "slice")
 
@@ -322,8 +311,7 @@ def reshape(x, shape):
     data = x.data.reshape(shape)
 
     def backward(g):
-        if x.requires_grad:
-            x.grad += g.reshape(x.shape)
+        return (g.reshape(x.shape),)
 
     return _from_op(data, (x,), backward, "reshape")
 
@@ -333,8 +321,8 @@ def swapaxes(x, axis1, axis2):
     data = np.swapaxes(x.data, axis1, axis2).copy()
 
     def backward(g):
-        if x.requires_grad:
-            x.grad += np.swapaxes(g, axis1, axis2)
+        # a strided gradient would send the next np.matmul down another BLAS path, with other bits
+        return (np.ascontiguousarray(np.swapaxes(g, axis1, axis2)),)
 
     return _from_op(data, (x,), backward, "swapaxes")
 
@@ -344,8 +332,7 @@ def broadcast_to(x, shape):
     data = np.broadcast_to(x.data, shape).copy()
 
     def backward(g):
-        if x.requires_grad:
-            x.grad += _unbroadcast(g, x.shape)
+        return (_unbroadcast(g, x.shape),)
 
     return _from_op(data, (x,), backward, "broadcast")
 
@@ -360,8 +347,7 @@ def softmax(x):
     data = kernels.softmax_lastaxis(x.data)
 
     def backward(g):
-        if x.requires_grad:
-            x.grad += kernels.softmax_lastaxis_grad(data, g)
+        return (kernels.softmax_lastaxis_grad(data, g),)
 
     return _from_op(data, (x,), backward, "softmax")
 
@@ -372,8 +358,7 @@ def layernorm(x):
     data, rstd = kernels.layernorm_lastaxis(x.data, 1e-5)
 
     def backward(g):
-        if x.requires_grad:
-            x.grad += kernels.layernorm_lastaxis_grad(data, rstd, g)
+        return (kernels.layernorm_lastaxis_grad(data, rstd, g),)
 
     return _from_op(data, (x,), backward, "layernorm")
 
@@ -384,8 +369,7 @@ def gelu(x):
     data, t = kernels.gelu(x.data)
 
     def backward(g):
-        if x.requires_grad:
-            x.grad += kernels.gelu_grad(x.data, t, g)
+        return (kernels.gelu_grad(x.data, t, g),)
 
     return _from_op(data, (x,), backward, "gelu")
 
@@ -399,9 +383,8 @@ def l2_normalize(x):
     data = x.data / norms
 
     def backward(g):
-        if x.requires_grad:
-            inner = (g * data).sum(axis=-1, keepdims=True)
-            x.grad += (g - data * inner) / norms
+        inner = (g * data).sum(axis=-1, keepdims=True)
+        return ((g - data * inner) / norms,)
 
     return _from_op(data, (x,), backward, "l2_normalize")
 
@@ -411,8 +394,7 @@ def log(x):
     data = np.log(x.data)
 
     def backward(g):
-        if x.requires_grad:
-            x.grad += g / x.data
+        return (g / x.data,)
 
     return _from_op(data, (x,), backward, "log")
 
@@ -425,8 +407,7 @@ def clamp_min(x, floor):
     mask = x.data > floor
 
     def backward(g):
-        if x.requires_grad:
-            x.grad += g * mask
+        return (g * mask,)
 
     return _from_op(data, (x,), backward, "clamp_min")
 
@@ -436,11 +417,9 @@ def tensor_sum(x, axis=None):
     data = x.data.sum(axis=axis)
 
     def backward(g):
-        if x.requires_grad:
-            if axis is None:
-                x.grad += g.reshape(()) * np.ones_like(x.data)
-            else:
-                x.grad += np.broadcast_to(np.expand_dims(g, axis), x.shape)
+        if axis is None:
+            return (g.reshape(()) * np.ones_like(x.data),)
+        return (np.broadcast_to(np.expand_dims(g, axis), x.shape),)
 
     return _from_op(data, (x,), backward, "sum")
 
@@ -455,8 +434,7 @@ def logsumexp(x):
     soft = shifted / total
 
     def backward(g):
-        if x.requires_grad:
-            x.grad += np.expand_dims(g, -1) * soft
+        return (np.expand_dims(g, -1) * soft,)
 
     return _from_op(data, (x,), backward, "logsumexp")
 
@@ -470,8 +448,9 @@ def take_diagonal(x):
     data = np.diagonal(x.data).copy()
 
     def backward(g):
-        if x.requires_grad:
-            x.grad[np.arange(n), np.arange(n)] += g
+        full = np.zeros_like(x.data)
+        full[np.arange(n), np.arange(n)] = g
+        return (full,)
 
     return _from_op(data, (x,), backward, "diagonal")
 

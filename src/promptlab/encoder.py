@@ -161,6 +161,8 @@ class PromptStack:
         owners = cls.check_rules(strategy, length, active_layers, alpha)
         if not owners:
             return cls.none()
+        if width < 1:
+            raise ConfigError(f"prompt width must be positive, got {width}")
         rng = np.random.default_rng(seed)
         bound = np.sqrt(6.0 / (length + width))
         prompts = {

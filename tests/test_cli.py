@@ -53,6 +53,13 @@ def test_params_none_is_zero(capsys):
     assert capsys.readouterr().out.strip() == "0"
 
 
+@pytest.mark.parametrize("width", ["0", "-3"])
+def test_params_refuses_non_positive_width(width, capsys):
+    assert main(["params", "--strategy", "deep",
+                 "--m", "2", "--layers", "1..2", "--d", width]) == 1
+    assert "error: ConfigError" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # grad-check
 # ---------------------------------------------------------------------------

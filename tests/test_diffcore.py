@@ -144,6 +144,29 @@ def test_op_results_get_grad_buffers_from_backward():
     assert np.allclose(x.grad, [6.0, -12.0])
 
 
+def test_shared_first_gradient_is_not_written_by_a_later_one():
+    # add(h, k) hands h and k views of one array; h's second contribution
+    # must make a new array rather than write into the one k holds.
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    h = dc.scale(x, 1.0)
+    k = dc.scale(x, 1.0)
+    s = dc.add(h, k)
+    dc.tensor_sum(dc.add(s, h)).backward()
+    assert np.array_equal(k.grad, [1.0, 1.0])
+    assert np.array_equal(s.grad, [1.0, 1.0])
+    assert np.array_equal(h.grad, [2.0, 2.0])
+    assert np.array_equal(x.grad, [3.0, 3.0])
+
+
+def test_swapaxes_hands_its_parent_a_contiguous_gradient():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    h = dc.scale(x, 1.0)
+    w = Tensor(np.arange(6.0).reshape(3, 2))
+    dc.tensor_sum(dc.mul(dc.swapaxes(h, 0, 1), w)).backward()
+    assert h.grad.flags.c_contiguous
+    assert np.array_equal(h.grad, w.data.T)
+
+
 # ---------------------------------------------------------------------------
 # no_grad
 # ---------------------------------------------------------------------------
@@ -320,8 +343,7 @@ def test_grad_check_rejects_vector_function():
 def test_grad_check_flags_wrong_backward():
     def bad_double(x):
         def backward(g):
-            if x.requires_grad:
-                x.grad += 3.0 * g  # deliberately wrong; true factor is 2
+            return (3.0 * g,)  # deliberately wrong; true factor is 2
 
         return dc._from_op(x.data * 2.0, (x,), backward, "bad_double")
 
@@ -403,6 +425,16 @@ def _case_concat(rng):
     return lambda x: dc.tensor_sum(dc.mul(dc.concat([x, other], axis=1), w)), _probe(rng, (2, 2))
 
 
+def _case_concat_repeated(rng):
+    w = Tensor(_probe(rng, (2, 4)))
+    return lambda x: dc.tensor_sum(dc.mul(dc.concat([x, x], axis=1), w)), _probe(rng, (2, 2))
+
+
+def _case_matmul_shared(rng):
+    w = Tensor(_probe(rng, (3, 3)))
+    return lambda x: dc.tensor_sum(dc.mul(dc.matmul(x, dc.scale(x, 0.5)), w)), _probe(rng, (3, 3))
+
+
 def _case_slice(rng):
     w = Tensor(_probe(rng, (2, 2)))
     return lambda x: dc.tensor_sum(dc.mul(dc.slice_axis(x, 1, 1, 3), w)), _probe(rng, (2, 4))
@@ -482,7 +514,9 @@ PRIMITIVE_CASES = [
     _case_scale,
     _case_matmul_weight,
     _case_matmul_batched,
+    _case_matmul_shared,
     _case_concat,
+    _case_concat_repeated,
     _case_slice,
     _case_reshape,
     _case_swapaxes,

@@ -85,13 +85,10 @@ def test_prompted_forward_feeds_prefix_and_eval_counters(monkeypatch):
     assert probe.eval_images == 5
 
 
-def test_probe_times_one_step_per_optimizer_step(monkeypatch):
-    """The probe's step clock starts at the one forward a step makes outside
-    ``_forward_features``; a run resumed from a prefix must keep that shape,
-    and the forward's argument must have the batch's length."""
-    monkeypatch.syspath_prepend(PERFBENCH)
-    import instrument
-
+def _tiny_train(patcher, hooks):
+    """A two-epoch, three-step-per-epoch few-shot deep run with `hooks`
+    installed through `patcher` for the run only; returns the task and the
+    run record."""
     cfg = EncoderConfig(depth=3, width=8, heads=2, patch_count=3, patch_dim=4, output_dim=4)
     spec = SyntheticTaskSpec(class_count=4, patch_count=3, patch_dim=4, samples_per_class=6)
     task = sample_k_shot(generate_dataset(spec, 0), 2, 0, mode="few_shot")
@@ -99,16 +96,41 @@ def test_probe_times_one_step_per_optimizer_step(monkeypatch):
     config = trainer.TrainConfig(strategy="deep", prompt_length=2, alpha=None, depth_range=(2, 3),
                                  batch_size=3, max_epochs=2, shots=2, mode="few_shot",
                                  loss=LossConfig(mode="kd"), eval_each_epoch=True)
-    patcher = instrument.Patcher()
-    probe = instrument.Probe()
     try:
-        probe.install(patcher)
-        record = trainer.train(task, EncoderState.create(cfg), bank, config, seed=0)
+        hooks.install(patcher)
+        return task, trainer.train(task, EncoderState.create(cfg), bank, config, seed=0)
     finally:
         patcher.restore()
+
+
+def test_probe_times_one_step_per_optimizer_step(monkeypatch):
+    """The probe's step clock starts at the one forward a step makes outside
+    ``_forward_features``; a run resumed from a prefix must keep that shape,
+    and the forward's argument must have the batch's length."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import instrument
+
+    probe = instrument.Probe()
+    task, record = _tiny_train(instrument.Patcher(), probe)
     assert len(probe.step_ms) == len(record.steps) == 2 * 3
     assert all(ms > 0 for ms in probe.step_ms)
     assert probe.train_images == 2 * len(task.train_images)
+
+
+def test_tracer_spans_each_backward_and_counts_reached_nodes(monkeypatch):
+    """Traced runs wrap ``Tensor.backward`` and, after each call, count the
+    op results of its graph that hold a gradient: one ``diffcore.backward``
+    span per training step, each with a positive ``reached`` event."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import instrument
+
+    tracer = instrument.Tracer()
+    _, record = _tiny_train(instrument.Patcher(), tracer)
+    backward = [i for i, name in enumerate(tracer.names) if name == "diffcore.backward"]
+    reached = {i: amount for i, kind, amount in tracer.events if kind == "reached"}
+    assert len(backward) == len(record.steps) == 2 * 3
+    assert sorted(reached) == backward
+    assert all(amount > 0 for amount in reached.values())
 
 
 def test_evaluate_task_makes_three_eval_feature_calls(monkeypatch):
