@@ -260,20 +260,21 @@ def run_grad_check(loss_mode: str, step: float = 1e-5, tolerance: float = 1e-4, 
     cfg = EncoderConfig(depth=depth_range[1], width=16, heads=2, patch_count=4, patch_dim=6,
                         output_dim=8, seed=seed + 11)
     stack = config.prompt_stack(cfg.width, seed + 13)
-    state = EncoderState.create(cfg, stack)
+    frozen_state = EncoderState.create(cfg)
     bank = ClassEmbeddingBank.generate(3, cfg.output_dim, seed=seed + 17, temperature=0.2,
                                        max_cosine=0.5)
     rng = np.random.default_rng(seed + 19)
     images = rng.normal(size=(3, cfg.patch_count, cfg.patch_dim))
     labels = np.array([0, 1, 2])
-    frozen = _forward_features(EncoderState(cfg, state.weights, PromptStack.none()), images)
+    frozen = _forward_features(frozen_state, images)
     layers, m = sorted(stack.prompts), stack.length
 
     def f(x):
-        for j, i in enumerate(layers):
-            stack.prompts[i] = dc.reshape(dc.slice_axis(x, 0, j * m, (j + 1) * m), (m, cfg.width))
-        loss, _ = step_loss(state.forward(images), frozen, bank, labels, config.loss)
-        return loss
+        prompts = {i: dc.reshape(dc.slice_axis(x, 0, j * m, (j + 1) * m), (m, cfg.width))
+                   for j, i in enumerate(layers)}
+        probe = PromptStack(stack.strategy, m, stack.active_layers, stack.alpha, prompts)
+        feats = EncoderState(cfg, frozen_state.weights, probe).forward(images)
+        return step_loss(feats, frozen, bank, labels, config.loss)[0]
 
     x0 = np.concatenate([stack.prompts[i].data for i in layers])
     return finite_difference_check(f, x0, step=step, tolerance=tolerance)

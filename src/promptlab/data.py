@@ -110,11 +110,6 @@ class SampleStore:
     def ids_of_class(self, class_id: int) -> np.ndarray:
         return self.ids[self.labels == class_id]
 
-    def take(self, ids) -> Tuple[np.ndarray, np.ndarray]:
-        """(images, labels) for the given sample ids."""
-        index = np.searchsorted(self.ids, np.asarray(ids, dtype=np.int64))
-        return self.samples[index], self.labels[index]
-
 
 def generate_dataset(spec: SyntheticTaskSpec, seed) -> SampleStore:
     """Prototype-plus-noise samples for every class; pure in (spec, seed).
@@ -226,7 +221,7 @@ def sample_k_shot(store: SampleStore, k: int, seed, mode: str = "few_shot") -> F
     def gather(idx):
         return store.samples[idx], store.labels[idx], store.ids[idx]
 
-    train_images, train_labels = store.take(train_ids)
+    train_images, train_labels, _ = gather(np.flatnonzero(taken))
     base_images, base_labels, base_ids = gather(rest_base)
     novel_images, novel_labels, novel_ids = gather(rest_novel)
     return FewShotTask(

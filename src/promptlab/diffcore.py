@@ -4,23 +4,23 @@ Every tensor wraps a C-contiguous float64 array. Operations take Tensor
 operands only; a numpy array is not coerced into a constant, and every
 operation refuses one with the same TypeError. softmax,
 layernorm, l2_normalize and logsumexp work on the last axis only.
-Operations build an implicit DAG through parent links. Leaf tensors created
-with ``requires_grad=True`` carry a zero-initialized gradient from birth;
-results of operations require gradients exactly when one of their inputs
-does, and operations whose inputs are all gradient-free record no parents
-at all, which detaches frozen computations for free. Inside :func:`no_grad`
+Operations build an implicit DAG through parent links. Results of
+operations require gradients exactly when one of their inputs does, and
+operations whose inputs are all gradient-free record no parents at all,
+which detaches frozen computations for free. Inside :func:`no_grad`
 operations record no graph whatever their inputs; the mode is per thread.
 
-An operation's backward closure returns one gradient per parent (None for
-one that needs none) and stores nothing. :meth:`Tensor.backward` stores
-them: a node's first gradient becomes its ``grad`` as returned, and later
-ones are summed into a new array. So gradients may share memory with each
-other (a reshape's is a view), and none is written in place once stored,
-except by :meth:`Tensor.zero_grad` on a leaf, whose gradient is its own. No
-operation writes into the data of its operands or of an operation result,
-so a result may share memory with its input: :func:`reshape` returns a
-view. Only leaf data is ever updated in place (an optimizer step on
-prompts, a checkpoint load), and never while a graph built from it still
+Every tensor's ``grad`` is None until :meth:`Tensor.backward` reaches it;
+:meth:`Tensor.zero_grad` sets it back to None. Each pass first forgets its
+operation results' gradients, so a leaf sums the passes that reach it and
+an operation result holds its last pass's. A backward closure returns one
+gradient per parent (None for one that needs none) and stores nothing;
+``backward`` keeps a node's first gradient as returned and sums later ones
+into a new array. So gradients may share memory (a reshape's is a view),
+and none is ever written in place. No operation writes into its operands'
+data either, so a result may share memory with its input (:func:`reshape`
+returns a view). Only leaf data is updated in place (an optimizer step on
+prompts, a checkpoint load), never while a graph built from it still
 awaits its backward pass.
 
 Execution order is the insertion order of operations, so a forward pass is
@@ -74,7 +74,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(self.data) if self.requires_grad else None
+        self.grad = None
         self.op = "leaf"
         self._parents: tuple = ()
         self._backward_fn: Optional[Callable] = None
@@ -101,22 +101,25 @@ class Tensor:
         return Tensor(self.data.copy(), requires_grad=False)
 
     def zero_grad(self):
-        if self.grad is not None:
-            self.grad[...] = 0.0
+        self.grad = None
 
     def backward(self):
-        """Add d(self)/d(node) to the gradient of every reachable node.
+        """Add d(self)/d(leaf) to every reachable leaf's gradient.
 
-        Only scalar roots are supported. Each node's closure runs once, in
-        reverse topological order; a parent without a gradient takes the one
-        returned as is, and one with a gradient gets the sum in a new array.
+        Only scalar roots are supported. Every reachable operation result's
+        gradient is first set to None, so no earlier pass is propagated
+        again. Then each closure runs once, in reverse topological order.
         """
         if self.size != 1:
             raise DimensionError(f"backward requires a scalar root, got shape {self.shape}")
         if not self.requires_grad:
             return
-        self.grad = np.ones_like(self.data)
-        for node in reversed(toposort(self)):
+        order = toposort(self)
+        for node in order:
+            if node._backward_fn is not None:
+                node.grad = None
+        self.grad = np.ones_like(self.data) if self.grad is None else self.grad + 1.0
+        for node in reversed(order):
             if node._backward_fn is None:
                 continue
             for parent, grad in zip(node._parents, node._backward_fn(node.grad)):
@@ -498,7 +501,7 @@ def finite_difference_check(f, x, step=1e-5, tolerance=1e-6):
     if not np.isfinite(value.data).all():
         raise EvaluationError("function value is not finite at the check point")
     value.backward()
-    autodiff_grad = param.grad.copy()
+    autodiff_grad = np.zeros_like(base) if param.grad is None else param.grad.copy()
 
     def evaluate(values):
         out = f(Tensor(values))

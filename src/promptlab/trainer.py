@@ -246,7 +246,7 @@ class SGD:
         for name, tensor in self.named_params:
             grad = tensor.grad
             if grad is None:
-                raise InvariantError(f"parameter {name} has no gradient accumulator")
+                raise InvariantError(f"parameter {name} got no gradient: the loss does not reach it")
             if not np.isfinite(grad).all():
                 bad = int(np.size(grad) - np.isfinite(grad).sum())
                 raise DivergenceError(
@@ -285,12 +285,11 @@ def _forward_features(state: EncoderState, images) -> np.ndarray:
     Every chunk runs under :func:`no_grad`, so no graph is recorded and no
     gradient buffer is allocated, even through prompts that require gradients.
     """
-    chunks = []
-    for start in range(0, len(images), _EVAL_CHUNK):
-        with no_grad():
-            feats = state.forward(images[start:start + _EVAL_CHUNK])
-        chunks.append(feats.data)
-    return np.concatenate(chunks) if chunks else np.empty((0, state.config.output_dim))
+    feats = np.empty((len(images), state.config.output_dim))
+    with no_grad():
+        for start in range(0, len(images), _EVAL_CHUNK):
+            feats[start:start + _EVAL_CHUNK] = state.forward(images[start:start + _EVAL_CHUNK]).data
+    return feats
 
 
 def _split_accuracy(state: EncoderState, bank: ClassEmbeddingBank, images, labels, classes) -> Optional[float]:

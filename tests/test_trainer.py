@@ -135,7 +135,7 @@ def _param(value):
 def test_sgd_plain_step_matches_hand_arithmetic():
     p = _param([1.0])
     opt = SGD([("p", p)], momentum=0.0, weight_decay=0.0)
-    p.grad[:] = 0.5
+    p.grad = np.array([0.5])
     opt.step(0.1)
     assert p.data[0] == pytest.approx(0.95, abs=1e-15)
 
@@ -143,7 +143,7 @@ def test_sgd_plain_step_matches_hand_arithmetic():
 def test_sgd_zero_gradient_leaves_param_alone():
     p = _param([2.5])
     opt = SGD([("p", p)], momentum=0.0, weight_decay=0.0)
-    p.grad[:] = 0.0
+    p.grad = np.array([0.0])
     opt.step(0.1)
     assert p.data[0] == 2.5
 
@@ -151,9 +151,9 @@ def test_sgd_zero_gradient_leaves_param_alone():
 def test_sgd_momentum_accumulates_velocity():
     p = _param([0.0])
     opt = SGD([("p", p)], momentum=0.9, weight_decay=0.0)
-    p.grad[:] = 1.0
+    p.grad = np.array([1.0])
     opt.step(1.0)            # v = 1, p = -1
-    p.grad[:] = 1.0
+    p.grad = np.array([1.0])
     opt.step(1.0)            # v = 1.9, p = -2.9
     assert p.data[0] == pytest.approx(-2.9, abs=1e-15)
 
@@ -161,7 +161,7 @@ def test_sgd_momentum_accumulates_velocity():
 def test_sgd_weight_decay_pulls_toward_zero():
     p = _param([10.0])
     opt = SGD([("p", p)], momentum=0.0, weight_decay=0.1)
-    p.grad[:] = 0.0
+    p.grad = np.array([0.0])
     opt.step(1.0)            # update = wd * p = 1
     assert p.data[0] == pytest.approx(9.0, abs=1e-15)
 
@@ -169,7 +169,7 @@ def test_sgd_weight_decay_pulls_toward_zero():
 def test_sgd_rejects_nonfinite_gradient():
     p = _param([1.0])
     opt = SGD([("prompts.layer_0", p)], momentum=0.0, weight_decay=0.0)
-    p.grad[:] = np.nan
+    p.grad = np.array([np.nan])
     with pytest.raises(DivergenceError, match="prompts.layer_0"):
         opt.step(0.1)
 
@@ -178,6 +178,15 @@ def test_sgd_requires_gradient_accumulator():
     p = Tensor(np.ones(2))          # requires_grad False, grad is None
     opt = SGD([("p", p)], momentum=0.0)
     with pytest.raises(InvariantError):
+        opt.step(0.1)
+
+
+def test_sgd_refuses_a_parameter_the_loss_never_reached():
+    p, q = _param([1.0]), _param([2.0])
+    opt = SGD([("p", p), ("prompts.layer_1", q)], momentum=0.0, weight_decay=0.1)
+    opt.zero_grad()
+    dc.tensor_sum(dc.mul(p, p)).backward()
+    with pytest.raises(InvariantError, match="prompts.layer_1"):
         opt.step(0.1)
 
 
