@@ -7,8 +7,9 @@ layernorm, l2_normalize and logsumexp work on the last axis only.
 Operations build an implicit DAG through parent links. Results of
 operations require gradients exactly when one of their inputs does, and
 operations whose inputs are all gradient-free record no parents at all,
-which detaches frozen computations for free. Inside :func:`no_grad`
-operations record no graph whatever their inputs; the mode is per thread.
+which detaches frozen computations for free. That is the one rule: a
+graph-free pass over trainable values runs on their :meth:`Tensor.detach`
+copies.
 
 Every tensor's ``grad`` is None until :meth:`Tensor.backward` reaches it;
 :meth:`Tensor.zero_grad` sets it back to None. Each pass first forgets its
@@ -27,8 +28,6 @@ Execution order is the insertion order of operations, so a forward pass is
 bit-deterministic for fixed inputs.
 """
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -59,8 +58,6 @@ __all__ = [
     "tensor_sum",
     "logsumexp",
     "take_diagonal",
-    "no_grad",
-    "grad_enabled",
     "toposort",
     "finite_difference_check",
 ]
@@ -97,7 +94,7 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def detach(self):
-        """A gradient-free tensor sharing this tensor's values."""
+        """A gradient-free leaf holding a copy of this tensor's values."""
         return Tensor(self.data.copy(), requires_grad=False)
 
     def zero_grad(self):
@@ -130,29 +127,11 @@ class Tensor:
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
 
-_grad_mode = threading.local()
-
-
-def grad_enabled() -> bool:
-    """False inside :func:`no_grad` on the calling thread."""
-    return getattr(_grad_mode, "enabled", True)
-
-
-@contextmanager
-def no_grad():
-    """Operations this thread runs inside the block record no graph."""
-    previous, _grad_mode.enabled = grad_enabled(), False
-    try:
-        yield
-    finally:
-        _grad_mode.enabled = previous
-
-
 def _from_op(data, parents, backward_fn, op_name):
-    """Build an operation result; no graph inside no_grad or when no parent needs gradients."""
+    """Build an operation result; it records its parents exactly when one needs gradients."""
     out = Tensor(data)
     out.op = op_name
-    if grad_enabled() and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn

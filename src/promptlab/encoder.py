@@ -155,6 +155,11 @@ class PromptStack:
     def none(cls) -> "PromptStack":
         return cls("none", 0, (), None, {})
 
+    def detached(self) -> "PromptStack":
+        """This stack over gradient-free copies of its prompts: a forward with it records no graph."""
+        prompts = {i: t.detach() for i, t in self.prompts.items()}
+        return PromptStack(self.strategy, self.length, self.active_layers, self.alpha, prompts)
+
     @classmethod
     def create(cls, strategy, length, width, active_layers=(), alpha=None, seed=0):
         """Build a stack with Xavier-uniform initialized prompts on its owned layers."""
@@ -247,7 +252,9 @@ class EncoderState:
     (ConfigError) or prompts not of `width` (DimensionError). Weights never
     require gradients; training mutates only the stack's prompt tensors.
     `prefix_blocks` counts the blocks before the first insertion layer (all
-    of them for a ``none`` stack). Safe to share read-only across threads.
+    of them for a ``none`` stack). A forward records a graph exactly when a
+    prompt of the stack requires gradients, so a state is safe to share
+    read-only across threads.
     """
 
     def __init__(self, config: EncoderConfig, weights: Dict[str, Tensor], prompt_stack: PromptStack):
@@ -349,8 +356,8 @@ class EncoderState:
         """The tokens of `images` entering block `prefix_blocks`, computed without a graph.
 
         Runs the patch embedding and the blocks before the first insertion
-        layer, in chunks of images under :func:`diffcore.no_grad`, into one
-        token array allocated up front. None of it depends on the prompts,
+        layer, in chunks of images, into one token array allocated up front.
+        None of it depends on the prompts, so no operation records a graph,
         and each image's rows do not depend on the other images, so one
         prefix serves every forward of these images or of any slice of them:
         training steps, the frozen features, every split of an evaluation,
@@ -360,10 +367,9 @@ class EncoderState:
         batch = self._as_batch(images)
         cfg = self.config
         tokens = np.empty((len(batch), 1 + cfg.patch_count, cfg.width))
-        with dc.no_grad():
-            for start in range(0, len(batch), _PREFIX_CHUNK):
-                x = self.embed_patches(batch[start:start + _PREFIX_CHUNK])
-                tokens[start:start + _PREFIX_CHUNK] = self._blocks(x, 0, self.prefix_blocks).data
+        for start in range(0, len(batch), _PREFIX_CHUNK):
+            x = self.embed_patches(batch[start:start + _PREFIX_CHUNK])
+            tokens[start:start + _PREFIX_CHUNK] = self._blocks(x, 0, self.prefix_blocks).data
         return Prefix(tokens, self.prefix_blocks, self.weights)
 
     def _resume(self, prefix: Prefix) -> Tensor:
@@ -389,7 +395,9 @@ class EncoderState:
         :class:`Prefix` of one from :meth:`prefix`, which the forward resumes
         at its block with the same bits. The features are shaped (batch,
         output_dim). A prefix past the first insertion layer, or from
-        another weights mapping, raises ConfigError.
+        another weights mapping, raises ConfigError. When no prompt requires
+        gradients (a ``none`` or :meth:`PromptStack.detached` stack), no graph
+        is recorded and the last block computes only rows 0..1.
         """
         if isinstance(images, Prefix):
             x, start = self._resume(images), images.block
@@ -397,7 +405,8 @@ class EncoderState:
             x, start = self.embed_patches(images), 0
         # Without a graph the last block computes the class row it returns, plus
         # one more: a one-row matmul takes other bits than the same row in a larger one.
-        x = self._blocks(x, start, self.config.depth, None if dc.grad_enabled() else 2)
+        graph = any(t.requires_grad for t in self.prompt_stack.prompts.values())
+        x = self._blocks(x, start, self.config.depth, None if graph else 2)
         cls_tok = dc.reshape(dc.slice_axis(dc.layernorm(x), 1, 0, 1), (x.shape[0], self.config.width))
         return dc.l2_normalize(dc.matmul(cls_tok, self.weights["backbone.proj.weight"]))
 

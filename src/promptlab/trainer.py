@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .data import MODES, SHOT_CHOICES, FewShotTask, generate_dataset, sample_k_shot
-from .diffcore import Tensor, no_grad
+from .diffcore import Tensor
 from .encoder import EncoderState, PromptStack, count_trainable_params
 from .errors import ConfigError, DivergenceError, EvaluationError, InvariantError, PromptLabError
 from .evaluate import accuracy, harmonic_mean
@@ -243,6 +243,7 @@ class SGD:
             tensor.zero_grad()
 
     def step(self, lr_t: float, context: str = "") -> None:
+        """Check every gradient, then update every parameter: a refused step moves nothing."""
         for name, tensor in self.named_params:
             grad = tensor.grad
             if grad is None:
@@ -252,7 +253,8 @@ class SGD:
                 raise DivergenceError(
                     f"non-finite gradient in {name} ({bad} entries) {context}".strip()
                 )
-            update = grad + self.weight_decay * tensor.data
+        for name, tensor in self.named_params:
+            update = tensor.grad + self.weight_decay * tensor.data
             v = self.velocity[name]
             v *= self.momentum
             v += update
@@ -282,13 +284,14 @@ def _forward_features(state: EncoderState, images) -> np.ndarray:
 
     `images` may also be a :class:`~promptlab.encoder.Prefix` of the set.
 
-    Every chunk runs under :func:`no_grad`, so no graph is recorded and no
-    gradient buffer is allocated, even through prompts that require gradients.
+    Every chunk runs on the stack's :meth:`~promptlab.encoder.PromptStack.detached`
+    copy, so no graph is recorded and no gradient buffer is allocated, even
+    when the state's prompts require gradients.
     """
+    state = EncoderState(state.config, state.weights, state.prompt_stack.detached())
     feats = np.empty((len(images), state.config.output_dim))
-    with no_grad():
-        for start in range(0, len(images), _EVAL_CHUNK):
-            feats[start:start + _EVAL_CHUNK] = state.forward(images[start:start + _EVAL_CHUNK]).data
+    for start in range(0, len(images), _EVAL_CHUNK):
+        feats[start:start + _EVAL_CHUNK] = state.forward(images[start:start + _EVAL_CHUNK]).data
     return feats
 
 

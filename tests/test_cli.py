@@ -64,6 +64,10 @@ def test_params_refuses_non_positive_width(width, capsys):
 # grad-check
 # ---------------------------------------------------------------------------
 
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def test_grad_check_default_passes_all_modes(capsys):
     assert main(["grad-check"]) == 0
     out = capsys.readouterr().out
@@ -71,6 +75,8 @@ def test_grad_check_default_passes_all_modes(capsys):
         assert f"{mode}: max relative error" in out
     assert out.count("PASS") == 3
     assert "FAIL" not in out
+    # README.md shows this output; like the golden digests, its last digits are pinned to one BLAS build.
+    assert out == _readme().split("$ promptlab grad-check\n", 1)[1].split("```", 1)[0]
 
 
 def test_grad_check_single_mode(capsys):
@@ -300,8 +306,7 @@ def test_every_config_key_has_a_flag_equal_to_its_env_var(key, monkeypatch):
 
 
 def test_readme_key_table_lists_every_config_key():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    section = _readme().split("## Configuration", 1)[1].split("\n## ", 1)[0]
     assert set(re.findall(r"^\| `(\w+)` \|", section, flags=re.M)) == set(_CONFIG_KEYS)
 
 

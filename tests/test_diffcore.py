@@ -1,4 +1,5 @@
 import threading
+import time
 import zlib
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 
 import promptlab.diffcore as dc
 from promptlab.diffcore import Tensor, finite_difference_check
+from promptlab.encoder import EncoderConfig, EncoderState, PromptStack
 from promptlab.errors import DegenerateInputError, DimensionError, EvaluationError
+from promptlab.trainer import _forward_features
 
 TRIALS = 100
 
@@ -100,8 +103,7 @@ def _numpy_operand_calls():
     }
 
 
-_NON_OPS = {"Tensor", "GradCheckReport", "no_grad", "grad_enabled", "toposort",
-            "finite_difference_check"}
+_NON_OPS = {"Tensor", "GradCheckReport", "toposort", "finite_difference_check"}
 
 
 def test_numpy_operand_cases_cover_every_op():
@@ -202,85 +204,112 @@ def test_swapaxes_hands_its_parent_a_contiguous_gradient():
 
 
 # ---------------------------------------------------------------------------
-# no_grad
+# graph-free passes: results record a graph exactly when an operand needs one
 # ---------------------------------------------------------------------------
 
 def test_no_grad_results_record_no_graph():
-    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    x = Tensor(np.array([1.0, -2.0]))
     w = Tensor(np.ones((2, 2)), requires_grad=True)
-    with dc.no_grad():
-        assert not dc.grad_enabled()
-        h = dc.matmul(dc.reshape(x, (1, 2)), w)
-        y = dc.tensor_sum(dc.gelu(h))
+    h = dc.matmul(dc.reshape(x, (1, 2)), w.detach())
+    y = dc.tensor_sum(dc.gelu(h))
     for out in (h, y):
         assert not out.requires_grad
         assert out._parents == ()
         assert out._backward_fn is None
         assert out.grad is None
-    assert dc.grad_enabled()
+    # One operand that requires a gradient is enough to record the graph.
+    z = dc.matmul(h, w)
+    assert z.requires_grad and z._parents == (h, w)
 
 
 def test_no_grad_leaves_keep_grad_state():
     x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     buffer = x.grad = np.array([5.0, 5.0])
-    with dc.no_grad():
-        dc.mul(x, x)
-        leaf = Tensor(np.ones(2), requires_grad=True)
+    frozen = x.detach()
+    dc.tensor_sum(dc.mul(frozen, frozen)).backward()
+    leaf = Tensor(np.ones(2), requires_grad=True)
+    dc.scale(leaf.detach(), 2.0)
     assert x.requires_grad and x.grad is buffer
     assert np.array_equal(x.grad, [5.0, 5.0])
+    assert not frozen.requires_grad and frozen.grad is None
+    assert not np.shares_memory(frozen.data, x.data)
     assert leaf.requires_grad and leaf.grad is None
-
-
-def test_no_grad_nests_and_restores_after_exception():
-    x = Tensor(np.ones(2), requires_grad=True)
-    with dc.no_grad():
-        with dc.no_grad():
-            assert not dc.grad_enabled()
-        assert not dc.grad_enabled()
-        assert not dc.scale(x, 2.0).requires_grad
-    assert dc.grad_enabled()
-    with pytest.raises(DimensionError):
-        with dc.no_grad():
-            Tensor(np.zeros(2)).item()
-    assert dc.grad_enabled()
-    assert dc.scale(x, 2.0).requires_grad
 
 
 def test_backward_through_no_grad_result_leaves_leaf_grads_zero():
     x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    with dc.no_grad():
-        y = dc.tensor_sum(dc.mul(x, x))
-        h = dc.scale(x, 3.0)
+    frozen = x.detach()
+    y = dc.tensor_sum(dc.mul(frozen, frozen))
+    h = dc.scale(frozen, 3.0)
     y.backward()
     assert x.grad is None
-    # Used outside the block, a no_grad result is a constant.
+    # Next to the leaf, a result of its detached copy is a constant.
     dc.tensor_sum(dc.mul(h, x)).backward()
     assert np.array_equal(x.grad, h.data)
 
 
-def test_no_grad_is_per_thread():
-    entered, checked = threading.Event(), threading.Event()
-    seen = {}
+SMALL = EncoderConfig(depth=2, width=8, heads=2, patch_count=3, patch_dim=4, output_dim=4, seed=1)
+
+
+def _small_state():
+    stack = PromptStack.create("progressive", 2, SMALL.width, active_layers=(0, 1), alpha=0.25, seed=3)
+    images = np.random.default_rng(5).normal(size=(3, SMALL.patch_count, SMALL.patch_dim))
+    return EncoderState.create(SMALL, stack), images
+
+
+def test_detached_stack_keeps_values_and_forwards_without_parents():
+    state, images = _small_state()
+    stack = state.prompt_stack
+    copy = stack.detached()
+    assert (copy.strategy, copy.length, copy.active_layers, copy.alpha) == (
+        stack.strategy, stack.length, stack.active_layers, stack.alpha)
+    assert [name for name, _ in copy.parameters()] == [name for name, _ in stack.parameters()]
+    for (_, original), (_, detached) in zip(stack.parameters(), copy.parameters()):
+        assert detached.data.tobytes() == original.data.tobytes()
+        assert not detached.requires_grad and original.requires_grad
+    out = EncoderState(SMALL, state.weights, copy).forward(images)
+    assert not out.requires_grad and out._parents == () and out._backward_fn is None
+    assert out.data.tobytes() == state.forward(images).data.tobytes()
+    assert PromptStack.none().detached().prompts == {}
+
+
+def test_forward_features_on_another_thread_keeps_the_training_graph():
+    state, images = _small_state()
+    prompts = [tensor for _, tensor in state.prompt_stack.parameters()]
+
+    def training_pass(between=lambda: None):
+        for tensor in prompts:
+            tensor.zero_grad()
+        feats = state.forward(images)
+        assert feats.requires_grad and feats._parents
+        between()
+        dc.tensor_sum(feats).backward()
+        return feats.data.tobytes(), [tensor.grad.tobytes() for tensor in prompts]
+
+    reference = training_pass()
+    passes, stop = [], threading.Event()
 
     def evaluate():
-        with dc.no_grad():
-            entered.set()
-            checked.wait(timeout=10)
-            seen["thread"] = dc.scale(Tensor(np.ones(2), requires_grad=True), 2.0).requires_grad
+        while not stop.is_set():
+            passes.append(_forward_features(state, images))
+
+    def wait_for_two_more_passes():
+        target = len(passes) + 2
+        deadline = time.monotonic() + 10
+        while len(passes) < target and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert len(passes) >= target
 
     worker = threading.Thread(target=evaluate)
     worker.start()
     try:
-        assert entered.wait(timeout=10)
-        x = Tensor(np.ones(2), requires_grad=True)
-        out = dc.scale(x, 2.0)
-        assert dc.grad_enabled()
-        assert out.requires_grad and out._parents == (x,)
+        for _ in range(3):
+            assert training_pass(wait_for_two_more_passes) == reference
     finally:
-        checked.set()
+        stop.set()
         worker.join(timeout=10)
     assert not worker.is_alive()
-    assert seen == {"thread": False}
+    assert all(feats.tobytes() == reference[0] for feats in passes)
 
 
 def test_matmul_shape_mismatch_reports_shapes():

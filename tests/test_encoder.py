@@ -356,11 +356,12 @@ def test_no_grad_forward_equals_graph_forward_bytes(cfg, strategy, layers, batch
     full = enc.forward(imgs)
     full_rows = list(rows)
     rows.clear()
-    with dc.no_grad():
-        pruned = enc.forward(imgs)
+    pruned = EncoderState(cfg, enc.weights, stack.detached()).forward(imgs)
     assert pruned.data.tobytes() == full.data.tobytes()
     assert full.requires_grad == (strategy != "none") and not pruned.requires_grad
     assert rows == full_rows[:-1] + [2]
+    # A none stack has no prompt to require a gradient, so it always prunes.
+    assert full_rows[-1] == (2 if strategy == "none" else 1 + cfg.patch_count + 3)
 
 
 PREFIX_CASES = [(CFG, "none", ())] + [
@@ -401,10 +402,10 @@ def test_prefix_resumed_forward_equals_image_forward_bytes(cfg, strategy, layers
     up = dc.Tensor(np.random.default_rng(9).normal(size=(batch, cfg.output_dim)))
 
     assert _features_and_prompt_grads(enc, prefix[idx], up) == _features_and_prompt_grads(enc, imgs[idx], up)
+    detached = EncoderState(cfg, enc.weights, stack.detached())
     frozen = EncoderState(cfg, enc.weights, PromptStack.none())
-    with dc.no_grad():
-        for state in (enc, frozen):
-            assert state.forward(prefix[idx]).data.tobytes() == state.forward(imgs[idx]).data.tobytes()
+    for state in (detached, frozen):
+        assert state.forward(prefix[idx]).data.tobytes() == state.forward(imgs[idx]).data.tobytes()
 
 
 def test_prefix_past_first_insertion_layer_is_refused():
@@ -430,8 +431,7 @@ def test_prefix_from_another_backbone_is_refused():
         with pytest.raises(ConfigError, match="another backbone"):
             other.forward(rows)
     shared = EncoderState(CFG, mine.weights, PromptStack.none())
-    with dc.no_grad():
-        assert shared.forward(prefix).data.tobytes() == mine.forward(_images(3)).data.tobytes()
+    assert shared.forward(prefix).data.tobytes() == mine.forward(_images(3)).data.tobytes()
 
 
 def test_prefix_of_no_images_is_empty():

@@ -15,7 +15,7 @@ import os
 
 import pytest
 
-from promptlab import diffcore, trainer
+from promptlab import trainer
 from promptlab.cli import main
 from promptlab.data import SyntheticTaskSpec, generate_dataset, sample_k_shot
 from promptlab.encoder import EncoderConfig, EncoderState
@@ -103,8 +103,9 @@ def test_one_image_minibatch_and_eval_chunk_digest(tmp_path, monkeypatch):
     forward = EncoderState.forward
 
     def recording(state, images):
-        batches[diffcore.grad_enabled()].append(len(images))
-        return forward(state, images)
+        out = forward(state, images)
+        batches[out.requires_grad].append(len(images))
+        return out
 
     monkeypatch.setattr(EncoderState, "forward", recording)
     digest = _train_digest(tmp_path, "--strategy", "progressive", "--loss-mode", "ref",

@@ -190,6 +190,22 @@ def test_sgd_refuses_a_parameter_the_loss_never_reached():
         opt.step(0.1)
 
 
+def test_sgd_refused_step_moves_no_parameter():
+    p, q = _param([1.0]), _param([2.0])
+    opt = SGD([("p", p), ("q", q)], momentum=0.9, weight_decay=0.1)
+    dc.tensor_sum(dc.add(dc.mul(p, p), q)).backward()
+    opt.step(0.1)
+    before = p.data.copy(), opt.velocity["p"].copy()
+    opt.zero_grad()
+    dc.tensor_sum(dc.mul(p, p)).backward()
+    with pytest.raises(InvariantError, match="q got no gradient"):
+        opt.step(0.1)
+    q.grad = np.array([np.nan])
+    with pytest.raises(DivergenceError, match="q"):
+        opt.step(0.1)
+    assert np.array_equal(p.data, before[0]) and np.array_equal(opt.velocity["p"], before[1])
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
