@@ -165,16 +165,16 @@ def cmd_train(args) -> int:
 def _checkpointed_setup(args):
     """(config, prompted encoder state, seed, dataset) for eval-style commands.
 
-    The state's stack is seeded like the one `train` would build for `seed`,
-    then overwritten from --checkpoint when one is given.
+    The state's stack is built from --checkpoint when one is given, and
+    otherwise seeded like the one `train` would build for `seed`.
     """
     config = _build_train_config(args)
     encoder = _encoder(args)
     seed = config.seeds[0]
-    stack = config.prompt_stack(encoder.config.width, seed)
+    stack = (PromptStack.from_state_dict(config.strategy, config.prompt_length, config.active_layers(),
+                                         config.alpha, load_tensors(args.checkpoint))
+             if args.checkpoint else config.prompt_stack(encoder.config.width, seed))
     state = EncoderState(encoder.config, encoder.weights, stack)
-    if args.checkpoint:
-        stack.load_state_dict(load_tensors(args.checkpoint))
     return config, state, seed, generate_dataset(_task_spec(args), seed)
 
 

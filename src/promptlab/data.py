@@ -275,6 +275,7 @@ def save_dataset(path, store: SampleStore) -> None:
 
 
 def load_dataset(path) -> SampleStore:
+    """Read a :func:`save_dataset` file; a malformed or inconsistent one raises DataError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     marker = blob.find(_HEADER_END)
@@ -321,6 +322,12 @@ def load_dataset(path) -> SampleStore:
     labels = np.frombuffer(body[cuts[1]:cuts[2]], dtype="<i8")
     ids = np.frombuffer(body[cuts[2]:cuts[3]], dtype="<i8")
     prototypes = np.frombuffer(body[cuts[3]:cuts[4]], dtype="<f8").reshape(c, n_p, p_dim)
+    if sorted(base + novel) != list(range(c)):
+        raise DataError(f"{path}: base {base} and novel {novel} do not partition {c} classes")
+    if np.any((labels < 0) | (labels >= c)):
+        raise DataError(f"{path}: labels must lie in [0, {c}), got [{labels.min()}, {labels.max()}]")
+    if np.any(np.diff(ids) <= 0):
+        raise DataError(f"{path}: sample ids must be strictly increasing")
     return SampleStore(
         spec=spec,
         seed=seed,

@@ -20,9 +20,9 @@ gradient per parent (None for one that needs none) and stores nothing;
 into a new array. So gradients may share memory (a reshape's is a view),
 and none is ever written in place. No operation writes into its operands'
 data either, so a result may share memory with its input (:func:`reshape`
-returns a view). Only leaf data is updated in place (an optimizer step on
-prompts, a checkpoint load), never while a graph built from it still
-awaits its backward pass.
+returns a view). Only an optimizer step writes leaf data in place, and
+never while a graph built from it still awaits its backward pass; a
+checkpoint load builds new prompt tensors.
 
 Execution order is the insertion order of operations, so a forward pass is
 bit-deterministic for fixed inputs.

@@ -102,6 +102,8 @@ class PromptStack:
     those owned layers are where the stack inserts.
     """
 
+    _NAME = "prompts.layer_{}"  # a prompt tensor's name in state_dict and checkpoints
+
     def __init__(self, strategy, length, active_layers, alpha, prompts):
         owned = self.check_rules(strategy, length, active_layers, alpha)
         if sorted(prompts) != list(owned):
@@ -182,37 +184,33 @@ class PromptStack:
 
     def parameters(self):
         """(name, tensor) pairs in a stable order."""
-        return [(f"prompts.layer_{i}", self.prompts[i]) for i in sorted(self.prompts)]
+        return [(self._NAME.format(i), self.prompts[i]) for i in sorted(self.prompts)]
 
     def state_dict(self) -> Dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.parameters()}
 
-    def load_state_dict(self, arrays: Dict[str, np.ndarray]) -> None:
-        """Copy saved prompt values in; the keys must match this stack's exactly.
+    @classmethod
+    def from_state_dict(cls, strategy, length, active_layers, alpha, arrays) -> "PromptStack":
+        """The inverse of :meth:`state_dict`: a stack of this shape over copies of saved values.
 
-        Every tensor is checked before any is copied, so a refused load
-        leaves the prompts as they were.
+        A name the strategy does not own, a missing name or a non-finite value
+        raises CheckpointError naming the tensor; the constructor checks shapes.
         """
-        unexpected = sorted(set(arrays) - {name for name, _ in self.parameters()})
+        owned = {cls._NAME.format(i): i for i in cls.check_rules(strategy, length, active_layers, alpha)}
+        unexpected = sorted(set(arrays) - set(owned))
         if unexpected:
             raise CheckpointError(
-                f"checkpoint has prompt tensors this {self.strategy!r} stack does not own: "
-                f"{unexpected}"
+                f"checkpoint has prompt tensors this {strategy!r} stack does not own: {unexpected}"
             )
-        values = []
-        for name, tensor in self.parameters():
+        prompts = {}
+        for name, layer in owned.items():
             if name not in arrays:
                 raise CheckpointError(f"missing prompt tensor {name!r} in checkpoint")
-            value = np.asarray(arrays[name], dtype=np.float64)
-            if value.shape != tensor.shape:
-                raise DimensionError(
-                    f"prompt {name!r} has shape {value.shape}, expected {tensor.shape}"
-                )
+            value = np.array(arrays[name], dtype=np.float64)
             if not np.isfinite(value).all():
                 raise CheckpointError(f"prompt tensor {name!r} holds non-finite values")
-            values.append((tensor, value))
-        for tensor, value in values:
-            tensor.data[...] = value
+            prompts[layer] = Tensor(value, requires_grad=True)
+        return cls(strategy, int(length), active_layers, alpha, prompts) if prompts else cls.none()
 
 
 def progressive_combine(fresh: Tensor, prev_output: Tensor, alpha) -> Tensor:

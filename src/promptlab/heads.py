@@ -125,6 +125,8 @@ class ClassEmbeddingBank:
             raise ConfigError(f"class_count must be positive, got {class_count}")
         if seed < 0:
             raise ConfigError(f"seed must be non-negative, got {seed}")
+        if not np.isfinite(max_cosine):
+            raise ConfigError(f"max_cosine must be finite, got {max_cosine}")
         rng = np.random.default_rng(seed)
         rows = []
         attempts = 0

@@ -364,6 +364,15 @@ def test_infinite_temperature_exits_one(command, tmp_path, monkeypatch, capsys):
     assert "base_accuracy=" not in captured.out
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_max_cosine_exits_one(value, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", *TRAIN, "--seed", "0", "--bank", "random", "--max-cosine", value]) == 1
+    captured = capsys.readouterr()
+    assert "ConfigError" in captured.err and "max_cosine" in captured.err
+    assert "base_accuracy=" not in captured.out
+
+
 def test_export_embeddings_writes_two_variants(tmp_path, capsys):
     out = tmp_path / "emb.tsv"
     assert main(["export-embeddings", *TRAIN, "--seed", "0",

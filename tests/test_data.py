@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,32 @@ def test_dataset_load_rejects_bad_header_line(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob.replace(b"patch_dim=5", b"patch_dim five", 1))
     with pytest.raises(DataError):
+        data.load_dataset(path)
+
+
+def _swap_pairs(ids):
+    swapped = ids.copy()
+    swapped[0::2], swapped[1::2] = ids[1::2], ids[0::2]
+    return swapped
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("split", data.BaseNovelSplit(base=(0, 1, 2), novel=(2, 3, 7)), "partition"),
+    ("split", data.BaseNovelSplit(base=(0, 1), novel=(3,)), "partition"),
+    ("labels", lambda labels: np.where(labels == 3, 4, labels), "labels"),
+    ("labels", lambda labels: labels - 1, "labels"),
+    ("ids", _swap_pairs, "increasing"),
+    ("ids", lambda ids: ids[::-1].copy(), "increasing"),
+    ("ids", lambda ids: np.zeros_like(ids), "increasing"),
+], ids=["overlapping-split", "incomplete-split", "label-past-classes", "negative-label",
+        "swapped-ids", "reversed-ids", "repeated-ids"])
+def test_dataset_load_rejects_inconsistent_contents(field, value, message, tmp_path):
+    store = data.generate_dataset(_spec(), seed=8)
+    if callable(value):
+        value = value(getattr(store, field))
+    path = tmp_path / "bad.plds"
+    data.save_dataset(path, dataclasses.replace(store, **{field: value}))
+    with pytest.raises(DataError, match=message):
         data.load_dataset(path)
 
 

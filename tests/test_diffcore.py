@@ -1,6 +1,8 @@
+import ast
 import threading
 import time
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -632,3 +634,87 @@ def test_composite_network_gradient():
 
     report = finite_difference_check(network, rng.normal(size=(2, 5)), tolerance=1e-6)
     assert report.passed, str(report)
+
+
+# ---------------------------------------------------------------------------
+# one writer of tensor values
+# ---------------------------------------------------------------------------
+
+def _data_targets(target):
+    """The parts of an assignment target that store into some `x.data` or a subscript of it."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _data_targets(element)
+    elif isinstance(target, ast.Starred):
+        yield from _data_targets(target.value)
+    else:
+        root = target
+        while isinstance(root, ast.Subscript):
+            root = root.value
+        if isinstance(root, ast.Attribute) and root.attr == "data":
+            yield target
+
+
+class _DataWrites(ast.NodeVisitor):
+    """Collects (module.Class.function, kind, line) of every assignment into `.data`.
+
+    `kind` is "bind" for a plain `x.data = ...` and "write" for a subscript
+    store or an augmented assignment, which change the values in place.
+    """
+
+    def __init__(self, module):
+        self.scope = [module]
+        self.found = []
+
+    def _scoped(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _scoped
+
+    def _store(self, node, targets):
+        for target in targets:
+            for hit in _data_targets(target):
+                bind = isinstance(node, ast.Assign) and isinstance(hit, ast.Attribute)
+                self.found.append((".".join(self.scope), "bind" if bind else "write", node.lineno))
+        self.generic_visit(node)
+
+    def visit_Assign(self, node):
+        self._store(node, node.targets)
+
+    def visit_AugAssign(self, node):
+        self._store(node, [node.target])
+
+    def visit_AnnAssign(self, node):
+        self._store(node, [node.target])
+
+
+def test_only_the_optimizer_step_writes_tensor_values():
+    # Tensor.__init__ binds a tensor's array; after that only SGD.step may
+    # change the values a graph was built from.
+    found = []
+    for path in sorted(Path(dc.__file__).parent.glob("*.py")):
+        visitor = _DataWrites(path.stem)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        found.extend(visitor.found)
+    assert {(where, kind) for where, kind, _ in found} == {
+        ("diffcore.Tensor.__init__", "bind"),
+        ("trainer.SGD.step", "write"),
+    }, found
+
+
+def test_data_write_scan_sees_every_store_form():
+    source = (
+        "class T:\n"
+        "    def f(self, t, u):\n"
+        "        t.data[...] = 0\n"
+        "        t.data -= 1\n"
+        "        a, u.data[0][1] = 1, 2\n"
+        "        t.data = u.data\n"
+        "        t.grad = t.data[0]\n"
+    )
+    visitor = _DataWrites("m")
+    visitor.visit(ast.parse(source))
+    assert visitor.found == [("m.T.f", "write", 3), ("m.T.f", "write", 4),
+                             ("m.T.f", "write", 5), ("m.T.f", "bind", 6)]

@@ -87,35 +87,51 @@ def test_prompt_init_is_xavier_bounded_and_seeded():
 
 
 def test_stack_state_dict_roundtrip():
-    stack = PromptStack.create("deep", 3, 16, active_layers=(0, 1), seed=5)
-    saved = stack.state_dict()
-    other = PromptStack.create("deep", 3, 16, active_layers=(0, 1), seed=99)
-    other.load_state_dict(saved)
-    for key in saved:
-        assert np.array_equal(saved[key], dict(other.parameters())[key].data)
+    for strategy, alpha in (("deep", None), ("shallow", None), ("progressive", 0.4)):
+        stack = PromptStack.create(strategy, 3, 16, active_layers=(0, 1), alpha=alpha, seed=5)
+        saved = stack.state_dict()
+        rebuilt = PromptStack.from_state_dict(strategy, 3, (0, 1), alpha, saved)
+        assert rebuilt.insertion_layers() == stack.insertion_layers()
+        for (name, t), (rebuilt_name, r) in zip(stack.parameters(), rebuilt.parameters()):
+            assert name == rebuilt_name and r.requires_grad
+            assert r.data.tobytes() == t.data.tobytes()
+            assert not np.shares_memory(r.data, saved[name])
+
+
+def test_none_stack_from_empty_state_dict_has_no_active_layers():
+    stack = PromptStack.from_state_dict("none", 0, (4, 5), None, {})
+    assert stack.active_layers == () and stack.prompts == {}
     with pytest.raises(CheckpointError, match="prompts.layer_0"):
-        other.load_state_dict({})
-    bad = {k: np.zeros((1, 1)) for k in saved}
+        PromptStack.from_state_dict("none", 0, (), None, {"prompts.layer_0": np.zeros((1, 4))})
+
+
+def test_stack_from_state_dict_refuses_bad_tensors():
+    saved = PromptStack.create("deep", 3, 16, active_layers=(0, 1), seed=5).state_dict()
+
+    def build(arrays):
+        return PromptStack.from_state_dict("deep", 3, (0, 1), None, arrays)
+
+    with pytest.raises(CheckpointError, match="prompts.layer_0"):
+        build({})
     with pytest.raises(DimensionError):
-        other.load_state_dict(bad)
-    extra = dict(saved, **{"prompts.layer_2": np.zeros((3, 16))})
+        build({k: np.zeros((1, 1)) for k in saved})
     with pytest.raises(CheckpointError, match="prompts.layer_2"):
-        other.load_state_dict(extra)
+        build(dict(saved, **{"prompts.layer_2": np.zeros((3, 16))}))
     for value in (np.nan, np.inf):
-        corrupt = dict(saved, **{"prompts.layer_1": np.full((3, 16), value)})
         with pytest.raises(CheckpointError, match="prompts.layer_1"):
-            other.load_state_dict(corrupt)
+            build(dict(saved, **{"prompts.layer_1": np.full((3, 16), value)}))
 
 
 def test_refused_load_leaves_every_prompt_unchanged():
     stack = PromptStack.create("deep", 2, 4, active_layers=(0, 1), seed=3)
     before = stack.state_dict()
-    wrong_shape = {"prompts.layer_0": np.ones((2, 4)), "prompts.layer_1": np.ones((3, 4))}
-    with pytest.raises(DimensionError):
-        stack.load_state_dict(wrong_shape)
-    not_finite = {"prompts.layer_0": np.ones((2, 4)), "prompts.layer_1": np.full((2, 4), np.nan)}
-    with pytest.raises(CheckpointError):
-        stack.load_state_dict(not_finite)
+    wrong_shape = dict(stack.state_dict(), **{"prompts.layer_1": np.ones((3, 4))})
+    not_finite = dict(stack.state_dict(), **{"prompts.layer_1": np.full((2, 4), np.nan)})
+    built = []
+    for arrays, error in ((wrong_shape, DimensionError), (not_finite, CheckpointError)):
+        with pytest.raises(error):
+            built.append(PromptStack.from_state_dict("deep", 2, (0, 1), None, arrays))
+    assert built == []
     for name, value in stack.state_dict().items():
         assert value.tobytes() == before[name].tobytes()
 

@@ -53,6 +53,12 @@ def test_bank_generation_impossible_separation():
         heads.ClassEmbeddingBank.generate(20, 2, seed=0, temperature=0.01, max_cosine=0.05)
 
 
+@pytest.mark.parametrize("max_cosine", [np.nan, np.inf, -np.inf])
+def test_bank_generation_refuses_non_finite_max_cosine(max_cosine):
+    with pytest.raises(ConfigError, match="max_cosine"):
+        heads.ClassEmbeddingBank.generate(10, 4, seed=0, temperature=0.1, max_cosine=max_cosine)
+
+
 def test_bank_embeddings_never_require_grad():
     bank = heads.ClassEmbeddingBank.generate(4, 6, seed=1, temperature=0.01, max_cosine=0.5)
     feats = Tensor(_unit_rows(np.random.default_rng(0), 3, 6), requires_grad=True)
