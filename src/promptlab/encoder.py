@@ -32,6 +32,13 @@ Nothing before a stack's first insertion layer depends on the prompts.
 :meth:`EncoderState.prefix` runs that part once, graph-free, and returns a
 :class:`Prefix` of token arrays; ``forward`` resumes from one at its block
 with the same bits as a forward from the images.
+
+A pass that records no graph (a prefix, or a forward whose stack has no
+prompt requiring gradients) runs the blocks over tiles of ``_TILE`` images,
+sized so a tile's arrays stay in a per-core L2 cache, and each block
+computes only the token rows that something reads. Every matmul inside the
+blocks runs image by image on at least two rows, so neither the tile nor
+the kept rows move a bit of the features.
 """
 
 import hashlib
@@ -46,8 +53,18 @@ from .errors import CheckpointError, ConfigError, DimensionError
 
 STRATEGIES = ("none", "shallow", "deep", "progressive")
 
-# Images per graph-free pass in EncoderState.prefix; bounds its working memory.
-_PREFIX_CHUNK = 256
+# (start, stop) ranges of token positions that a block computes, in order.
+Rows = Tuple[Tuple[int, int], ...]
+
+# Images per pass of a graph-free forward or prefix through the blocks. A tile's
+# largest array, the MLP hidden rows (64 x 25 x 128 float64, 1.6 MB on the default
+# backbone with 8 prompts), fits a 2 MB L2 cache; 256 images did not.
+_TILE = 64
+
+# Rows the last block computes when no graph is recorded: the class row that the
+# projection reads, plus one more, because a one-row matmul gives other bits than
+# the same row in a larger one.
+_LAST_ROWS = 2
 
 __all__ = [
     "STRATEGIES",
@@ -182,6 +199,22 @@ class PromptStack:
         """Block indices where this stack modifies the token sequence: its owned layers."""
         return tuple(sorted(self.prompts))
 
+    @property
+    def requires_grad(self) -> bool:
+        """True when a prompt requires gradients: a forward with this stack records a graph."""
+        return any(t.requires_grad for t in self.prompts.values())
+
+    def drops_prompt_rows(self, layer: int) -> bool:
+        """True when block `layer` computes no outputs for its prompt rows.
+
+        That holds in a graph-free ``deep`` stack that owns both `layer` and
+        the next layer, which discards those outputs; the rows still serve
+        block `layer` as keys and values. A forward that records a graph
+        keeps every row.
+        """
+        return (self.strategy == "deep" and layer in self.prompts and layer + 1 in self.prompts
+                and not self.requires_grad)
+
     def parameters(self):
         """(name, tensor) pairs in a stable order."""
         return [(self._NAME.format(i), self.prompts[i]) for i in sorted(self.prompts)]
@@ -227,7 +260,9 @@ def progressive_combine(fresh: Tensor, prev_output: Tensor, alpha) -> Tensor:
 class Prefix:
     """Token arrays of a batch of images entering block `block`, from :meth:`EncoderState.prefix`.
 
-    `tokens` is shaped (batch, 1 + patch_count, width) and is never written;
+    `tokens` is shaped (batch, 1 + patch_count, width), or (batch, 2, width)
+    at block `depth`, past the last block, which computes only the rows the
+    projection needs (a ``none`` stack's prefix); it is never written;
     `weights` is the backbone mapping that computed them. Indexing selects
     images and keeps the block and weights; ``len`` is the image count.
     """
@@ -250,9 +285,11 @@ class EncoderState:
     (ConfigError) or prompts not of `width` (DimensionError). Weights never
     require gradients; training mutates only the stack's prompt tensors.
     `prefix_blocks` counts the blocks before the first insertion layer (all
-    of them for a ``none`` stack). A forward records a graph exactly when a
-    prompt of the stack requires gradients, so a state is safe to share
-    read-only across threads.
+    of them for a ``none`` stack, whose :class:`Prefix` then holds the last
+    block's first two rows). A forward records a graph exactly when a prompt
+    of the stack requires gradients; only then does it run every row of
+    every image in one pass. A state is safe to share read-only across
+    threads.
     """
 
     def __init__(self, config: EncoderConfig, weights: Dict[str, Tensor], prompt_stack: PromptStack):
@@ -315,7 +352,7 @@ class EncoderState:
             )
         return np.ascontiguousarray(arr)
 
-    def _attention(self, x: Tensor, prefix: str, rows: Optional[int]) -> Tensor:
+    def _attention(self, x: Tensor, prefix: str, rows: Optional[Rows]) -> Tensor:
         cfg = self.config
         b, h, dh = x.shape[0], cfg.heads, cfg.head_dim
 
@@ -323,54 +360,82 @@ class EncoderState:
             out = dc.matmul(src, self.weights[f"{prefix}.attn.{name}"])
             return dc.swapaxes(dc.reshape(out, (b, src.shape[1], h, dh)), 1, 2)
 
-        q = proj(x if rows is None else dc.slice_axis(x, 1, 0, rows), "wq")
+        q = proj(_take_rows(x, rows), "wq")
         k, v = proj(x, "wk"), proj(x, "wv")
         scores = dc.scale(dc.matmul(q, dc.swapaxes(k, 2, 3)), dh ** -0.5)
         mixed = dc.matmul(dc.softmax(scores), v)
         merged = dc.reshape(dc.swapaxes(mixed, 1, 2), (b, q.shape[2], cfg.width))
         return dc.matmul(merged, self.weights[f"{prefix}.attn.wo"])
 
-    def _block(self, x: Tensor, index: int, rows: Optional[int] = None) -> Tensor:
+    def _block(self, x: Tensor, index: int, rows: Optional[Rows] = None) -> Tensor:
+        """Block `index`; given `rows`, only those token rows are queries and come out."""
         p = f"backbone.block_{index}"
-        kept = x if rows is None else dc.slice_axis(x, 1, 0, rows)
-        x = dc.add(kept, self._attention(dc.layernorm(x), p, rows))
+        x = dc.add(_take_rows(x, rows), self._attention(dc.layernorm(x), p, rows))
         hidden = dc.gelu(dc.matmul(dc.layernorm(x), self.weights[f"{p}.mlp.w1"]))
         return dc.add(x, dc.matmul(hidden, self.weights[f"{p}.mlp.w2"]))
 
-    def _blocks(self, x: Tensor, start: int, stop: int, last_rows: Optional[int] = None) -> Tensor:
-        """Blocks start..stop-1, inserting prompts at the stack's owned layers.
+    def _kept_rows(self, index: int, seq_len: int) -> Optional[Rows]:
+        """The token rows block `index` computes, or None for all of them.
 
-        The encoder's last block computes only its first `last_rows` rows when
-        that is given.
+        A forward that records a graph keeps every row. Without one, the last
+        block computes rows 0.._LAST_ROWS, and a block whose prompt rows'
+        outputs the next block discards (:meth:`PromptStack.drops_prompt_rows`)
+        computes its class and patch rows.
         """
+        stack = self.prompt_stack
+        if index == self.config.depth - 1 and not stack.requires_grad:
+            return ((0, _LAST_ROWS),)
+        if stack.drops_prompt_rows(index):
+            return ((0, 1), (1 + stack.length, seq_len))
+        return None
+
+    def _blocks(self, x: Tensor, start: int, stop: int) -> Tensor:
+        """Blocks start..stop-1, inserting prompts at the stack's owned layers."""
         insertion = set(self.prompt_stack.insertion_layers())
         for i in range(start, stop):
             if i in insertion:
                 x = insert_prompts(x, i, self.prompt_stack)
-            x = self._block(x, i, last_rows if i == self.config.depth - 1 else None)
+            x = self._block(x, i, self._kept_rows(i, x.shape[1]))
         return x
+
+    def _rows_at(self, block: int) -> int:
+        """Token rows per image entering `block` before any prompt is inserted."""
+        return _LAST_ROWS if block == self.config.depth else 1 + self.config.patch_count
+
+    def _tokens(self, images, stop: int) -> Tensor:
+        """Tokens out of block stop-1 of an image batch or of a checked :class:`Prefix`."""
+        if isinstance(images, Prefix):
+            return self._blocks(Tensor(images.tokens), images.block, stop)
+        return self._blocks(self.embed_patches(images), 0, stop)
+
+    def _tiled(self, images, stop: int) -> np.ndarray:
+        """:meth:`_tokens` without a graph, _TILE images at a time, into one array.
+
+        Each image's rows do not depend on the other images of its tile: the
+        blocks' matmuls run image by image, so tiling moves no bits.
+        """
+        out = np.empty((len(images), self._rows_at(stop), self.config.width))
+        for start in range(0, len(images), _TILE):
+            out[start:start + _TILE] = self._tokens(images[start:start + _TILE], stop).data
+        return out
 
     def prefix(self, images) -> Prefix:
         """The tokens of `images` entering block `prefix_blocks`, computed without a graph.
 
         Runs the patch embedding and the blocks before the first insertion
-        layer, in chunks of images, into one token array allocated up front.
-        None of it depends on the prompts, so no operation records a graph,
-        and each image's rows do not depend on the other images, so one
-        prefix serves every forward of these images or of any slice of them:
-        training steps, the frozen features, every split of an evaluation,
-        by this state or any other over the same weights whose stack's first
-        insertion layer is not before it.
+        layer, _TILE images at a time, into one token array allocated up
+        front; a ``none`` stack's prefix runs every block, the last on rows
+        0.._LAST_ROWS. None of it depends on the prompts, so no operation
+        records a graph, and each image's rows do not depend on the other
+        images, so one prefix serves every forward of these images or of any
+        slice of them: training steps, the frozen features, every split of an
+        evaluation, by this state or any other over the same weights whose
+        stack's first insertion layer is not before it.
         """
-        batch = self._as_batch(images)
-        cfg = self.config
-        tokens = np.empty((len(batch), 1 + cfg.patch_count, cfg.width))
-        for start in range(0, len(batch), _PREFIX_CHUNK):
-            x = self.embed_patches(batch[start:start + _PREFIX_CHUNK])
-            tokens[start:start + _PREFIX_CHUNK] = self._blocks(x, 0, self.prefix_blocks).data
+        tokens = self._tiled(self._as_batch(images), self.prefix_blocks)
         return Prefix(tokens, self.prefix_blocks, self.weights)
 
-    def _resume(self, prefix: Prefix) -> Tensor:
+    def _check_prefix(self, prefix: Prefix) -> None:
         cfg = self.config
         if prefix.weights is not self.weights:
             raise ConfigError("prefix was computed by another backbone's weights")
@@ -379,12 +444,12 @@ class EncoderState:
                 f"prefix at block {prefix.block} lies past this stack's first insertion "
                 f"layer {self.prefix_blocks}"
             )
-        if prefix.tokens.ndim != 3 or prefix.tokens.shape[1:] != (1 + cfg.patch_count, cfg.width):
+        rows = self._rows_at(prefix.block)
+        if prefix.tokens.ndim != 3 or prefix.tokens.shape[1:] != (rows, cfg.width):
             raise DimensionError(
-                f"expected prefix tokens shaped (batch, {1 + cfg.patch_count}, {cfg.width}), "
+                f"expected prefix tokens at block {prefix.block} shaped (batch, {rows}, {cfg.width}), "
                 f"got {prefix.tokens.shape}"
             )
-        return Tensor(prefix.tokens)
 
     def forward(self, images) -> Tensor:
         """Run the encoder with the state's prompt stack; returns the unit-norm feature Tensor.
@@ -393,20 +458,32 @@ class EncoderState:
         :class:`Prefix` of one from :meth:`prefix`, which the forward resumes
         at its block with the same bits. The features are shaped (batch,
         output_dim). A prefix past the first insertion layer, or from
-        another weights mapping, raises ConfigError. When no prompt requires
-        gradients (a ``none`` or :meth:`PromptStack.detached` stack), no graph
-        is recorded and the last block computes only rows 0..1.
+        another weights mapping, raises ConfigError.
+
+        When no prompt requires gradients (a ``none`` or
+        :meth:`PromptStack.detached` stack), no graph is recorded, the blocks
+        run _TILE images at a time and compute only the rows something reads
+        (see :meth:`_kept_rows`), and the projection runs once over the whole
+        batch, so its row groups do not depend on the tile.
         """
         if isinstance(images, Prefix):
-            x, start = self._resume(images), images.block
+            self._check_prefix(images)
         else:
-            x, start = self.embed_patches(images), 0
-        # Without a graph the last block computes the class row it returns, plus
-        # one more: a one-row matmul takes other bits than the same row in a larger one.
-        graph = any(t.requires_grad for t in self.prompt_stack.prompts.values())
-        x = self._blocks(x, start, self.config.depth, None if graph else 2)
+            images = self._as_batch(images)
+        if self.prompt_stack.requires_grad:
+            x = self._tokens(images, self.config.depth)
+        else:
+            x = Tensor(self._tiled(images, self.config.depth))
         cls_tok = dc.reshape(dc.slice_axis(dc.layernorm(x), 1, 0, 1), (x.shape[0], self.config.width))
         return dc.l2_normalize(dc.matmul(cls_tok, self.weights["backbone.proj.weight"]))
+
+
+def _take_rows(x: Tensor, rows: Optional[Rows]) -> Tensor:
+    """The token rows of `x` in the (start, stop) ranges `rows`, in order; all of `x` for None."""
+    if rows is None:
+        return x
+    parts = [dc.slice_axis(x, 1, start, stop) for start, stop in rows]
+    return parts[0] if len(parts) == 1 else dc.concat(parts, axis=1)
 
 
 def insert_prompts(tokens: Tensor, layer_index: int, stack: PromptStack) -> Tensor:
@@ -416,19 +493,22 @@ def insert_prompts(tokens: Tensor, layer_index: int, stack: PromptStack) -> Tens
     parameters are spliced in between the class token and the patches. A
     later owned layer finds the previous layer's prompt outputs at
     positions [1, 1+m); `deep` replaces them with its fresh parameters and
-    `progressive` with (1 - alpha) * fresh + alpha * outputs.
+    `progressive` with (1 - alpha) * fresh + alpha * outputs. Where the
+    previous block computed no prompt outputs
+    (:meth:`PromptStack.drops_prompt_rows`), the fresh parameters are
+    spliced in as at the first owned layer.
     """
     if stack.strategy == "none":
         return tokens
     m = stack.length
     batch, seq_len, width = tokens.shape
-    first = layer_index == min(stack.prompts)
+    splice = layer_index == min(stack.prompts) or stack.drops_prompt_rows(layer_index - 1)
     fresh = stack.prompts[layer_index]
-    if stack.strategy == "progressive" and not first:
+    if stack.strategy == "progressive" and not splice:
         block = progressive_combine(fresh, dc.slice_axis(tokens, 1, 1, 1 + m), stack.alpha)
     else:
         block = dc.broadcast_to(dc.reshape(fresh, (1, m, width)), (batch, m, width))
-    tail = dc.slice_axis(tokens, 1, 1 if first else 1 + m, seq_len)
+    tail = dc.slice_axis(tokens, 1, 1 if splice else 1 + m, seq_len)
     head = dc.slice_axis(tokens, 1, 0, 1)
     return dc.concat([head, block, tail], axis=1)
 

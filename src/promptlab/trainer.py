@@ -286,7 +286,10 @@ def _forward_features(state: EncoderState, images) -> np.ndarray:
 
     Every chunk runs on the stack's :meth:`~promptlab.encoder.PromptStack.detached`
     copy, so no graph is recorded and no gradient buffer is allocated, even
-    when the state's prompts require gradients.
+    when the state's prompts require gradients. The forward runs the blocks
+    of a chunk over smaller cache-sized tiles, but its final projection runs
+    once per chunk: a one-image chunk's projection is a one-row matmul with
+    other bits, so the chunks, not the tiles, decide where one happens.
     """
     state = EncoderState(state.config, state.weights, state.prompt_stack.detached())
     feats = np.empty((len(images), state.config.output_dim))

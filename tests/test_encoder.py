@@ -340,44 +340,64 @@ def test_prompt_width_must_match_encoder():
 
 DEPTH1 = EncoderConfig(depth=1, width=16, heads=2, patch_count=5, patch_dim=4, output_dim=6, seed=7)
 ONE_PATCH = EncoderConfig(depth=3, width=16, heads=2, patch_count=1, patch_dim=4, output_dim=6, seed=7)
-PRUNE_CASES = [(CFG, "none", ())] + [
-    (CFG, strategy, layers)
-    for strategy in ("shallow", "deep", "progressive")
-    for layers in ((0, 1), (1, 2))
-] + [
-    (CFG, "shallow", (2,)),
-    (DEPTH1, "none", ()),
-    (DEPTH1, "progressive", (0,)),
-    (ONE_PATCH, "none", ()),
-    (ONE_PATCH, "deep", (1, 2)),
-]
+# Token rows out of each block of a graph-free forward: the last block computes
+# rows 0..1, and a deep block whose next block is owned its class and patch rows.
+KEPT_ROWS = {
+    (CFG, "none", ()): [6, 6, 2],
+    (CFG, "shallow", (0, 1)): [9, 9, 2],
+    (CFG, "shallow", (1, 2)): [6, 9, 2],
+    (CFG, "deep", (0, 1)): [6, 9, 2],
+    (CFG, "deep", (1, 2)): [6, 6, 2],
+    (CFG, "progressive", (0, 1)): [9, 9, 2],
+    (CFG, "progressive", (1, 2)): [6, 9, 2],
+    (CFG, "shallow", (2,)): [6, 6, 2],
+    (DEPTH1, "none", ()): [2],
+    (DEPTH1, "progressive", (0,)): [2],
+    (ONE_PATCH, "none", ()): [2, 2, 2],
+    (ONE_PATCH, "deep", (1, 2)): [2, 2, 2],
+}
+PRUNE_CASES = list(KEPT_ROWS)
+# (tile, images): the default tile over 1, 2 and 5 images, and tiles of 1 and
+# 2 over one image more than a tile.
+TILINGS = pytest.mark.parametrize("tile, batch", [
+    (encoder._TILE, 1), (encoder._TILE, 2), (encoder._TILE, 5), (1, 2), (2, 3),
+], ids=["1", "2", "5", "tile1-2", "tile2-3"])
 
 
-@pytest.mark.parametrize("batch", [1, 2, 5])
+def _tiles(batch, tile):
+    return [min(tile, batch - start) for start in range(0, batch, tile)]
+
+
+@TILINGS
 @pytest.mark.parametrize("cfg, strategy, layers", PRUNE_CASES)
-def test_no_grad_forward_equals_graph_forward_bytes(cfg, strategy, layers, batch, monkeypatch):
+def test_no_grad_forward_equals_graph_forward_bytes(cfg, strategy, layers, tile, batch, monkeypatch):
+    monkeypatch.setattr(encoder, "_TILE", tile)
     alpha = 0.1 if strategy == "progressive" else None
     stack = PromptStack.create(strategy, 3, cfg.width, active_layers=layers, alpha=alpha, seed=4)
     enc = EncoderState.create(cfg, stack)
-    rows = []
+    calls = []
     original = EncoderState._block
 
     def recording(state, x, index, *args):
         out = original(state, x, index, *args)
-        rows.append(out.shape[1])
+        calls.append(out.shape[:2])
         return out
 
     monkeypatch.setattr(EncoderState, "_block", recording)
     imgs = _images(batch, cfg, seed=batch)
     full = enc.forward(imgs)
-    full_rows = list(rows)
-    rows.clear()
+    graph_calls = list(calls)
+    calls.clear()
     pruned = EncoderState(cfg, enc.weights, stack.detached()).forward(imgs)
     assert pruned.data.tobytes() == full.data.tobytes()
     assert full.requires_grad == (strategy != "none") and not pruned.requires_grad
-    assert rows == full_rows[:-1] + [2]
-    # A none stack has no prompt to require a gradient, so it always prunes.
-    assert full_rows[-1] == (2 if strategy == "none" else 1 + cfg.patch_count + 3)
+    assert calls == [(n, rows) for n in _tiles(batch, tile) for rows in KEPT_ROWS[cfg, strategy, layers]]
+    # A none stack has no prompt to require a gradient, so it always prunes;
+    # a forward that records a graph runs every row of the whole batch.
+    graph = calls if strategy == "none" else [
+        (batch, 1 + cfg.patch_count + (3 if i >= layers[0] else 0)) for i in range(cfg.depth)
+    ]
+    assert graph_calls == graph
 
 
 PREFIX_CASES = [(CFG, "none", ())] + [
@@ -401,20 +421,24 @@ def _features_and_prompt_grads(enc, source, up):
     return feats.data.tobytes(), [t.grad.tobytes() for _, t in enc.prompt_stack.parameters()]
 
 
-@pytest.mark.parametrize("batch", [1, 2, 5])
+@pytest.mark.parametrize("tile, pool, batch", [
+    (3, 7, 1), (3, 7, 2), (3, 7, 5), (1, 2, 2), (2, 3, 3),
+], ids=["1", "2", "5", "tile1-2", "tile2-3"])
 @pytest.mark.parametrize("cfg, strategy, layers", PREFIX_CASES)
-def test_prefix_resumed_forward_equals_image_forward_bytes(cfg, strategy, layers, batch, monkeypatch):
-    # The prefix is built from a larger set in chunks of 3 images, as train
-    # builds one for all its images, and a minibatch of its rows is resumed.
-    monkeypatch.setattr(encoder, "_PREFIX_CHUNK", 3)
+def test_prefix_resumed_forward_equals_image_forward_bytes(cfg, strategy, layers, tile, pool, batch, monkeypatch):
+    # The prefix is built tile by tile from a pool of more than one tile, as
+    # train builds one for all its images, and a minibatch of its rows is resumed.
+    monkeypatch.setattr(encoder, "_TILE", tile)
     alpha = 0.1 if strategy == "progressive" else None
     stack = PromptStack.create(strategy, 3, cfg.width, active_layers=layers, alpha=alpha, seed=4)
     enc = EncoderState.create(cfg, stack)
-    imgs = _images(7, cfg, seed=batch)
+    imgs = _images(pool, cfg, seed=batch)
     prefix = enc.prefix(imgs)
     assert prefix.block == enc.prefix_blocks == (layers[0] if layers else cfg.depth)
-    assert len(prefix) == 7 and prefix.tokens.shape[1:] == (1 + cfg.patch_count, cfg.width)
-    idx = np.random.default_rng(batch).permutation(7)[:batch]
+    # a none stack's prefix is past the last block, which computed rows 0..1
+    rows = 2 if strategy == "none" else 1 + cfg.patch_count
+    assert len(prefix) == pool and prefix.tokens.shape[1:] == (rows, cfg.width)
+    idx = np.random.default_rng(batch).permutation(pool)[:batch]
     up = dc.Tensor(np.random.default_rng(9).normal(size=(batch, cfg.output_dim)))
 
     assert _features_and_prompt_grads(enc, prefix[idx], up) == _features_and_prompt_grads(enc, imgs[idx], up)
@@ -434,6 +458,13 @@ def test_prefix_past_first_insertion_layer_is_refused():
     other = EncoderState.create(ONE_PATCH)
     with pytest.raises(DimensionError):
         other.forward(Prefix(prefix.tokens, 0, other.weights))
+    # Two token rows are a prefix past the last block only; every other block takes all rows.
+    frozen = EncoderState(CFG, late.weights, PromptStack.none())
+    past_last = frozen.prefix(_images(3))
+    assert past_last.tokens.shape == (3, 2, CFG.width)
+    for tokens, block in ((past_last.tokens, 2), (prefix.tokens, CFG.depth)):
+        with pytest.raises(DimensionError):
+            frozen.forward(Prefix(tokens, block, frozen.weights))
 
 
 def test_prefix_from_another_backbone_is_refused():
@@ -452,7 +483,7 @@ def test_prefix_from_another_backbone_is_refused():
 
 def test_prefix_of_no_images_is_empty():
     prefix = EncoderState.create(CFG).prefix(np.zeros((0, CFG.patch_count, CFG.patch_dim)))
-    assert len(prefix) == 0 and prefix.tokens.shape == (0, 1 + CFG.patch_count, CFG.width)
+    assert len(prefix) == 0 and prefix.tokens.shape == (0, 2, CFG.width)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
+import ctypes
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
+import promptlab
 from promptlab import kernels
 
 
@@ -176,10 +182,45 @@ def test_softmax_and_gelu_working_memory(backend):
     """Softmax holds at most the shifted logits and its output, plus per-row
     maxima and sums; GELU at most two arrays of its input's size at once (the
     scaled input and erf, then t and y). The attention and MLP shapes of a
-    256-image chunk make these the peak of a forward, so the bounds keep it."""
+    tile of images make these the peak of a forward, so the bounds keep it."""
     rng = np.random.default_rng(21)
     scores = rng.normal(size=(32, 4, 25, 25))
     probs, peak = _peak_allocated(kernels.softmax_lastaxis, scores)
     assert peak <= 2 * probs.nbytes + 2 * probs.nbytes // scores.shape[-1]
     (y, _), peak = _peak_allocated(kernels.gelu, rng.normal(size=(32, 25, 128)))
     assert peak <= 3 * y.nbytes
+
+
+def _libc_has_mallopt():
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return True
+
+
+# Minor page faults of the third of three cycles that allocate and free 16
+# arrays of 1 MiB, in a process that imports promptlab.
+_HEAP_CYCLES = """
+import resource
+import numpy as np
+import promptlab
+
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(1 << 17) for _ in range(16)]
+    del arrays
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
+def test_freed_arrays_keep_their_heap_pages():
+    """Arrays freed and allocated again reuse their heap pages: without the
+    package's heap setting glibc trims the freed 16 MiB and each cycle faults
+    about 4000 pages back in."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(promptlab.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", _HEAP_CYCLES], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert int(done.stdout) < 64

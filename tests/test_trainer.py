@@ -519,6 +519,42 @@ def _eval_world(mode, empty_novel):
     return task
 
 
+# Work of one few-shot evaluate_task on _eval_world: GELU input elements and
+# token rows out of EncoderState._block, summed over images. A count above its
+# budget fails; a change that lowers one lowers its budget with it.
+EVAL_BUDGET = {
+    "none": {"gelu": 635392, "rows": 9928},
+    "deep": {"gelu": 897024, "rows": 14016},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_BUDGET))
+def test_evaluate_task_work_budget(bank, monkeypatch, name):
+    """A none stack's prefix runs the last block on rows 0..1 only, and a deep
+    stack on blocks 2..3 computes no outputs for block 2's prompt rows, whose
+    values block 3 replaces."""
+    task = _eval_world("few_shot", False)
+    encoder = EncoderState.create(replace(ENC_CFG, depth=4))
+    stack = PromptStack.none() if name == "none" else PromptStack.create(
+        "deep", 4, ENC_CFG.width, active_layers=(2, 3), seed=0)
+    counts = Counter()
+    gelu, run_block = kernels.gelu, EncoderState._block
+
+    def counting_gelu(x):
+        counts["gelu"] += x.size
+        return gelu(x)
+
+    def block(state, x, index, *args):
+        out = run_block(state, x, index, *args)
+        counts["rows"] += out.shape[0] * out.shape[1]
+        return out
+
+    monkeypatch.setattr(kernels, "gelu", counting_gelu)
+    monkeypatch.setattr(EncoderState, "_block", block)
+    evaluate_task(EncoderState(encoder.config, encoder.weights, stack), bank, task)
+    assert dict(counts) == EVAL_BUDGET[name]
+
+
 @pytest.mark.parametrize("mode, empty_novel", [
     ("few_shot", False), ("base_to_novel", False), ("few_shot", True),
 ], ids=["few_shot", "base_to_novel", "few_shot-empty-novel"])
