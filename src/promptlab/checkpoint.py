@@ -32,15 +32,20 @@ __all__ = ["save_tensors", "load_tensors", "MAGIC", "VERSION"]
 
 
 def save_tensors(path, tensors: Dict[str, np.ndarray]) -> None:
-    """Write a key→array mapping; arrays are stored as float64."""
+    """Write a key→array mapping; arrays are stored as float64.
+
+    Every key is checked before `path` is opened, so a refused mapping
+    leaves an existing file as it was.
+    """
+    raw_keys = [key.encode("utf-8") for key in tensors]
+    for key, raw_key in zip(tensors, raw_keys):
+        if len(raw_key) > 0xFFFF:
+            raise CheckpointError(f"key too long to store: {key[:40]}...")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(tensors)))
-        for key, value in tensors.items():
+        for raw_key, value in zip(raw_keys, tensors.values()):
             arr = np.ascontiguousarray(value, dtype=np.float64)
-            raw_key = key.encode("utf-8")
-            if len(raw_key) > 0xFFFF:
-                raise CheckpointError(f"key too long to store: {key[:40]}...")
             fh.write(struct.pack("<H", len(raw_key)))
             fh.write(raw_key)
             fh.write(struct.pack("<B", arr.ndim))

@@ -5,10 +5,15 @@ params. All randomness is governed by explicit seeds, so repeating an
 invocation with the same arguments produces byte-identical output files.
 Training options are layered by :func:`promptlab.trainer.load_config`, with
 command-line flags as its overrides: each config key has one text flag, and
-the key's own parser is the only one that reads it.
+the key's own parser is the only one that reads it. The world flags are the
+fields of ``SyntheticTaskSpec`` and ``EncoderConfig`` (the shared patch fields
+once), each with its field's name, type and default, except that
+``--classes``, ``--shift`` and ``--encoder-seed`` rename ``class_count``,
+``shift_magnitude`` and the encoder's ``seed``.
 """
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -19,7 +24,7 @@ from .data import SyntheticTaskSpec, generate_dataset, sample_k_shot, save_datas
 from .diffcore import finite_difference_check
 from .encoder import EncoderConfig, EncoderState, PromptStack, count_trainable_params
 from .errors import ConfigError, PromptLabError
-from .evaluate import EvalReport, aggregate_seeds, emit_table, export_embeddings
+from .evaluate import TABLE_FORMATS, EvalReport, aggregate_seeds, emit_table, export_embeddings
 from .heads import LOSS_MODES, ClassEmbeddingBank, step_loss
 from .trainer import (
     TrainConfig,
@@ -41,20 +46,21 @@ def _add_config_flags(parser):
                             help=f"config key {key}, parsed like its file value")
 
 
+# World flags whose names differ from their field's; every other world field
+# `name` is the flag --name (underscores as dashes).
+_WORLD_FLAGS = {"class_count": "classes", "shift_magnitude": "shift", "seed": "encoder_seed"}
+_WORLD_HELP = {"shift_magnitude": "novel prototype displacement", "depth": "encoder blocks"}
+
+
 def _add_world_flags(parser):
-    parser.add_argument("--classes", type=int, default=SyntheticTaskSpec.class_count)
-    parser.add_argument("--patch-count", type=int, default=SyntheticTaskSpec.patch_count)
-    parser.add_argument("--patch-dim", type=int, default=SyntheticTaskSpec.patch_dim)
-    parser.add_argument("--samples-per-class", type=int, default=SyntheticTaskSpec.samples_per_class)
-    parser.add_argument("--noise-std", type=float, default=SyntheticTaskSpec.noise_std)
-    parser.add_argument("--shift", type=float, default=SyntheticTaskSpec.shift_magnitude,
-                        help="novel prototype displacement")
-    parser.add_argument("--prototype-seed", type=int, default=SyntheticTaskSpec.prototype_seed)
-    parser.add_argument("--depth", type=int, default=EncoderConfig.depth, help="encoder blocks")
-    parser.add_argument("--width", type=int, default=EncoderConfig.width)
-    parser.add_argument("--heads", type=int, default=EncoderConfig.heads)
-    parser.add_argument("--output-dim", type=int, default=EncoderConfig.output_dim)
-    parser.add_argument("--encoder-seed", type=int, default=EncoderConfig.seed)
+    fields = {}  # each field once; the shared patch fields come from the spec
+    for cls in (SyntheticTaskSpec, EncoderConfig):
+        for field in dataclasses.fields(cls):
+            fields.setdefault(field.name, field)
+    for field in fields.values():
+        flag = _WORLD_FLAGS.get(field.name, field.name)
+        parser.add_argument("--" + flag.replace("_", "-"), type=field.type, default=field.default,
+                            help=_WORLD_HELP.get(field.name))
     parser.add_argument("--bank", choices=("prototype", "random"), default="prototype")
     parser.add_argument("--temperature", type=float, default=0.1)
     parser.add_argument("--bank-seed", type=int, default=0)
@@ -70,30 +76,18 @@ def _build_train_config(args) -> TrainConfig:
                        overrides=overrides)
 
 
+def _world(cls, args):
+    """The world dataclass `cls` built from the flags of its fields."""
+    return cls(**{field.name: getattr(args, _WORLD_FLAGS.get(field.name, field.name))
+                  for field in dataclasses.fields(cls)})
+
+
 def _task_spec(args) -> SyntheticTaskSpec:
-    return SyntheticTaskSpec(
-        class_count=args.classes,
-        patch_count=args.patch_count,
-        patch_dim=args.patch_dim,
-        noise_std=args.noise_std,
-        shift_magnitude=args.shift,
-        samples_per_class=args.samples_per_class,
-        prototype_seed=args.prototype_seed,
-    )
+    return _world(SyntheticTaskSpec, args)
 
 
 def _encoder(args) -> EncoderState:
-    return EncoderState.create(
-        EncoderConfig(
-            depth=args.depth,
-            width=args.width,
-            heads=args.heads,
-            patch_count=args.patch_count,
-            patch_dim=args.patch_dim,
-            output_dim=args.output_dim,
-            seed=args.encoder_seed,
-        )
-    )
+    return EncoderState.create(_world(EncoderConfig, args))
 
 
 def _bank_factory(args):
@@ -335,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--records", help="write line-delimited run records here")
     p_train.add_argument("--checkpoint", help="write first seed's prompts here")
     p_train.add_argument("--table", help="write an aggregated results table here")
-    p_train.add_argument("--format", choices=("csv", "markdown"), default="csv")
+    p_train.add_argument("--format", choices=TABLE_FORMATS, default="csv")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate prompts (fresh or from a checkpoint)")
@@ -344,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--seed", type=int)
     p_eval.add_argument("--checkpoint", help="prompt tensors saved by train")
     p_eval.add_argument("--table", help="write a one-row results table here")
-    p_eval.add_argument("--format", choices=("csv", "markdown"), default="csv")
+    p_eval.add_argument("--format", choices=TABLE_FORMATS, default="csv")
     p_eval.set_defaults(func=cmd_eval)
 
     p_grid = sub.add_parser("grid", help="train a Cartesian grid of configurations")
@@ -354,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="axis values, e.g. --axis alpha=0.01,0.1,0.3 (repeatable)")
     p_grid.add_argument("--records", help="write all run records here")
     p_grid.add_argument("--table", help="write per-cell aggregated table here")
-    p_grid.add_argument("--format", choices=("csv", "markdown"), default="csv")
+    p_grid.add_argument("--format", choices=TABLE_FORMATS, default="csv")
     p_grid.set_defaults(func=cmd_grid)
 
     p_check = sub.add_parser("grad-check", help="finite-difference gradient verification")

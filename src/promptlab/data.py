@@ -107,9 +107,6 @@ class SampleStore:
     prototypes: np.ndarray  # (C, patch_count, patch_dim), shift already applied
     split: BaseNovelSplit
 
-    def ids_of_class(self, class_id: int) -> np.ndarray:
-        return self.ids[self.labels == class_id]
-
 
 def generate_dataset(spec: SyntheticTaskSpec, seed) -> SampleStore:
     """Prototype-plus-noise samples for every class; pure in (spec, seed).
@@ -186,8 +183,11 @@ def sample_k_shot(store: SampleStore, k: int, seed, mode: str = "few_shot") -> F
 
     In "few_shot" mode every class contributes k train samples; in
     "base_to_novel" mode only base classes do, leaving the novel half
-    entirely unseen. Test pools are whatever the training draw left
-    behind (all novel samples, in base_to_novel mode).
+    entirely unseen. Each class draws k of its rows without replacement,
+    class by class from one seeded stream; the episode lists every split in
+    store row order, and its ids are read off those rows. Test pools are
+    whatever the training draw left behind (all novel samples, in
+    base_to_novel mode).
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -196,19 +196,15 @@ def sample_k_shot(store: SampleStore, k: int, seed, mode: str = "few_shot") -> F
 
     eligible = range(store.spec.class_count) if mode == "few_shot" else store.split.base
     rng = np.random.default_rng(_stream(seed, _STREAM_SHOTS))
-    train_ids = []
+    taken = np.zeros(len(store.labels), dtype=bool)
     for class_id in eligible:
-        pool = store.ids_of_class(class_id)
-        if len(pool) < k:
+        rows = np.flatnonzero(store.labels == class_id)
+        if len(rows) < k:
             raise DataError(
-                f"class {class_id} has only {len(pool)} samples, cannot draw {k} shots"
+                f"class {class_id} has only {len(rows)} samples, cannot draw {k} shots"
             )
-        picked = rng.choice(pool, size=k, replace=False)
-        train_ids.extend(int(i) for i in picked)
-    train_ids = np.array(sorted(train_ids), dtype=np.int64)
+        taken[rng.choice(rows, size=k, replace=False)] = True
 
-    taken = np.zeros(len(store.ids), dtype=bool)
-    taken[np.searchsorted(store.ids, train_ids)] = True
     is_base = np.isin(store.labels, store.split.base)
     rest_base = np.flatnonzero(~taken & is_base)
     rest_novel = np.flatnonzero(~taken & ~is_base)
@@ -221,7 +217,7 @@ def sample_k_shot(store: SampleStore, k: int, seed, mode: str = "few_shot") -> F
     def gather(idx):
         return store.samples[idx], store.labels[idx], store.ids[idx]
 
-    train_images, train_labels, _ = gather(np.flatnonzero(taken))
+    train_images, train_labels, train_ids = gather(np.flatnonzero(taken))
     base_images, base_labels, base_ids = gather(rest_base)
     novel_images, novel_labels, novel_ids = gather(rest_novel)
     return FewShotTask(

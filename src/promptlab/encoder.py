@@ -181,7 +181,9 @@ class PromptStack:
 
     @classmethod
     def create(cls, strategy, length, width, active_layers=(), alpha=None, seed=0):
-        """Build a stack with Xavier-uniform initialized prompts on its owned layers."""
+        """A fresh stack: Xavier-uniform (length, width) arrays drawn from `seed` in
+        owned-layer order, made trainable prompts by :meth:`from_state_dict`;
+        ``none()``, whatever the width, when the stack owns nothing."""
         owners = cls.check_rules(strategy, length, active_layers, alpha)
         if not owners:
             return cls.none()
@@ -189,11 +191,8 @@ class PromptStack:
             raise ConfigError(f"prompt width must be positive, got {width}")
         rng = np.random.default_rng(seed)
         bound = np.sqrt(6.0 / (length + width))
-        prompts = {
-            i: Tensor(rng.uniform(-bound, bound, size=(length, width)), requires_grad=True)
-            for i in owners
-        }
-        return cls(strategy, int(length), active_layers, alpha, prompts)
+        arrays = {cls._NAME.format(i): rng.uniform(-bound, bound, size=(length, width)) for i in owners}
+        return cls.from_state_dict(strategy, length, active_layers, alpha, arrays)
 
     def insertion_layers(self) -> Tuple[int, ...]:
         """Block indices where this stack modifies the token sequence: its owned layers."""
@@ -336,10 +335,7 @@ class EncoderState:
         cfg = self.config
         x = Tensor(batch)
         tokens = dc.matmul(x, self.weights["backbone.patch_embed.weight"])
-        cls_tok = dc.broadcast_to(
-            dc.reshape(self.weights["backbone.class_token"], (1, 1, cfg.width)),
-            (batch.shape[0], 1, cfg.width),
-        )
+        cls_tok = dc.broadcast_to(self.weights["backbone.class_token"], (batch.shape[0], 1, cfg.width))
         seq = dc.concat([cls_tok, tokens], axis=1)
         return dc.add(seq, self.weights["backbone.pos_embed"])
 
@@ -507,7 +503,7 @@ def insert_prompts(tokens: Tensor, layer_index: int, stack: PromptStack) -> Tens
     if stack.strategy == "progressive" and not splice:
         block = progressive_combine(fresh, dc.slice_axis(tokens, 1, 1, 1 + m), stack.alpha)
     else:
-        block = dc.broadcast_to(dc.reshape(fresh, (1, m, width)), (batch, m, width))
+        block = dc.broadcast_to(fresh, (batch, m, width))
     tail = dc.slice_axis(tokens, 1, 1 if splice else 1 + m, seq_len)
     head = dc.slice_axis(tokens, 1, 0, 1)
     return dc.concat([head, block, tail], axis=1)

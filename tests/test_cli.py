@@ -1,13 +1,14 @@
 import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from promptlab.checkpoint import load_tensors, save_tensors
-from promptlab.cli import _build_train_config, build_parser, main, run_grad_check
-from promptlab.data import load_dataset
-from promptlab.encoder import EncoderState
+from promptlab.cli import _build_train_config, _encoder, _task_spec, build_parser, main, run_grad_check
+from promptlab.data import SyntheticTaskSpec, load_dataset
+from promptlab.encoder import EncoderConfig, EncoderState
 from promptlab.evaluate import parse_table
 from promptlab.trainer import _CONFIG_KEYS, ENV_PREFIX, TrainConfig, load_records
 
@@ -303,6 +304,50 @@ def test_every_config_key_has_a_flag_equal_to_its_env_var(key, monkeypatch):
     monkeypatch.setenv(ENV_PREFIX + key.upper(), KEY_TEXTS[key])
     from_env = _build_train_config(parser.parse_args(["train"]))
     assert from_flag == from_env != TrainConfig()
+
+
+# Each world flag with a non-default value and the field(s) it sets.
+WORLD_FLAG_VALUES = [
+    ("--classes", "5", {"class_count": 5}),
+    ("--patch-count", "3", {"patch_count": 3}),
+    ("--patch-dim", "7", {"patch_dim": 7}),
+    ("--samples-per-class", "9", {"samples_per_class": 9}),
+    ("--noise-std", "0.4", {"noise_std": 0.4}),
+    ("--shift", "1.5", {"shift_magnitude": 1.5}),
+    ("--prototype-seed", "2", {"prototype_seed": 2}),
+    ("--depth", "2", {"depth": 2}),
+    ("--width", "8", {"width": 8}),
+    ("--heads", "2", {"heads": 2}),
+    ("--output-dim", "5", {"output_dim": 5}),
+    ("--encoder-seed", "3", {"seed": 3}),
+]
+
+
+def _world_of(argv):
+    args = build_parser().parse_args(["eval", *argv])
+    return _task_spec(args), _encoder(args).config
+
+
+def test_no_world_flags_build_the_default_world():
+    assert _world_of([]) == (SyntheticTaskSpec(), EncoderConfig())
+
+
+@pytest.mark.parametrize("flag, text, values", WORLD_FLAG_VALUES, ids=[f for f, _, _ in WORLD_FLAG_VALUES])
+def test_each_world_flag_reaches_its_fields(flag, text, values):
+    """--patch-count and --patch-dim set the field of both classes."""
+    def expected(cls):
+        names = {field.name for field in fields(cls)}
+        return replace(cls(), **{name: v for name, v in values.items() if name in names})
+
+    assert _world_of([flag, text]) == (expected(SyntheticTaskSpec), expected(EncoderConfig))
+    assert _world_of([flag, text]) != (SyntheticTaskSpec(), EncoderConfig())
+
+
+def test_world_classes_agree_on_their_shared_defaults():
+    spec, config = SyntheticTaskSpec(), EncoderConfig()
+    shared = {f.name for f in fields(spec)} & {f.name for f in fields(config)}
+    assert shared == {"patch_count", "patch_dim"}
+    assert {name: getattr(spec, name) for name in shared} == {name: getattr(config, name) for name in shared}
 
 
 def test_readme_key_table_lists_every_config_key():

@@ -118,7 +118,7 @@ def test_k_shot_train_test_disjoint_and_exhaustive():
 def test_k_shot_novel_pool_is_untouched_in_base_to_novel():
     store = data.generate_dataset(_spec(), seed=1)
     task = data.sample_k_shot(store, 4, seed=3, mode="base_to_novel")
-    novel_ids = np.concatenate([store.ids_of_class(c) for c in store.split.novel])
+    novel_ids = store.ids[np.isin(store.labels, store.split.novel)]
     assert set(task.novel_test_ids.tolist()) == set(novel_ids.tolist())
     assert set(np.unique(task.novel_test_labels)) == set(store.split.novel)
 
@@ -130,6 +130,20 @@ def test_k_shot_determinism_and_seed_sensitivity():
     c = data.sample_k_shot(store, 4, seed=6)
     assert np.array_equal(a.train_ids, b.train_ids)
     assert not np.array_equal(a.train_ids, c.train_ids)
+
+
+@pytest.mark.parametrize("mode", data.MODES)
+def test_k_shot_is_byte_identical_on_a_saved_and_loaded_store(mode, tmp_path):
+    store = data.generate_dataset(_spec(samples_per_class=9, shift_magnitude=0.5), seed=2)
+    path = tmp_path / "task.plds"
+    data.save_dataset(path, store)
+    tasks = [data.sample_k_shot(s, 4, seed=7, mode=mode) for s in (store, data.load_dataset(path))]
+    for field in dataclasses.fields(data.FewShotTask):
+        a, b = (getattr(task, field.name) for task in tasks)
+        if isinstance(a, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
+        else:
+            assert a == b, field.name
 
 
 def test_k_shot_insufficient_samples_names_class():

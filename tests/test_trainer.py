@@ -555,6 +555,53 @@ def test_evaluate_task_work_budget(bank, monkeypatch, name):
     assert dict(counts) == EVAL_BUDGET[name]
 
 
+# Work between consecutive SGD.step calls of two runs on a depth-4 world, one
+# dict per window: recorded graph nodes and GELU input elements. The ref run's
+# middle window holds its first epoch's eval, which records no node. Nodes per
+# step are those of perfbench's b2n_train and fewshot_late shapes.
+TRAIN_BUDGET = {
+    "progressive-ref": [{"nodes": 142, "gelu": 9216}, {"nodes": 142, "gelu": 38912},
+                        {"nodes": 142, "gelu": 9216}],
+    "deep-kd": [{"nodes": 76, "gelu": 4608}] * 3,
+}
+TRAIN_RUNS = {
+    "progressive-ref": dict(depth_range=(1, 4), batch_size=4),
+    "deep-kd": dict(strategy="deep", alpha=None, depth_range=(3, 4), batch_size=4, shots=2,
+                    mode="few_shot", loss=LossConfig(mode="kd"), eval_each_epoch=False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAIN_BUDGET))
+def test_train_step_work_budget(bank, monkeypatch, name):
+    """A step records only the graph its loss needs: each first or deep
+    insertion broadcasts its prompt with one node, and the per-epoch eval
+    between two steps records none."""
+    config = _short_config(max_epochs=2, **TRAIN_RUNS[name])
+    task = _episode(shots=config.shots, mode=config.mode)
+    counts, windows = Counter(), []
+    from_op, gelu, step = dc._from_op, kernels.gelu, SGD.step
+
+    def counting_from_op(*args):
+        out = from_op(*args)
+        counts["nodes"] += bool(out._parents)
+        return out
+
+    def counting_gelu(x):
+        counts["gelu"] += x.size
+        return gelu(x)
+
+    def counted_step(optimizer, *args, **kwargs):
+        windows.append(dict(counts))
+        counts.clear()
+        return step(optimizer, *args, **kwargs)
+
+    monkeypatch.setattr(dc, "_from_op", counting_from_op)
+    monkeypatch.setattr(kernels, "gelu", counting_gelu)
+    monkeypatch.setattr(SGD, "step", counted_step)
+    train(task, EncoderState.create(replace(ENC_CFG, depth=4)), bank, config, seed=0)
+    assert windows[1:] == TRAIN_BUDGET[name]
+
+
 @pytest.mark.parametrize("mode, empty_novel", [
     ("few_shot", False), ("base_to_novel", False), ("few_shot", True),
 ], ids=["few_shot", "base_to_novel", "few_shot-empty-novel"])
