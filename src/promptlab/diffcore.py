@@ -4,6 +4,12 @@ Every tensor wraps a C-contiguous float64 array. Operations take Tensor
 operands only; a numpy array is not coerced into a constant, and every
 operation refuses one with the same TypeError. softmax,
 layernorm, l2_normalize and logsumexp work on the last axis only.
+softmax, layernorm and gelu also take `rows`, (start, stop) ranges along
+axis -2: the kernel then runs on a contiguous copy of those rows only, and
+the result, of the input's shape, holds zeros in every other row. Those
+zeros are constants, so the backward runs on the same rows and gives the
+others a zero gradient; where the upstream gradient already vanishes on
+them, every byte matches the op without `rows`.
 Operations build an implicit DAG through parent links. Results of
 operations require gradients exactly when one of their inputs does, and
 operations whose inputs are all gradient-free record no parents at all,
@@ -323,37 +329,72 @@ def broadcast_to(x, shape):
 # nonlinear primitives
 # ---------------------------------------------------------------------------
 
-def softmax(x):
-    """Numerically stable softmax along the last axis."""
+def _check_rows(op, x, rows):
+    """Raise DimensionError unless `rows` is None or (start, stop) ranges whose bounds
+    strictly ascend within axis -2 of `x`: non-empty, in order, and apart."""
+    if rows is None:
+        return
+    bounds = [bound for pair in rows for bound in pair]
+    if (x.ndim < 2 or not rows or any(len(pair) != 2 for pair in rows) or bounds[0] < 0
+            or bounds[-1] > x.shape[-2] or any(a >= b for a, b in zip(bounds, bounds[1:]))):
+        raise DimensionError(f"{op} rows must be ascending ranges within axis -2 of {x.shape}, got {rows}")
+
+
+def _gather_rows(a, rows):
+    """A contiguous copy of the ranges `rows` of `a` along axis -2, in order; `a` itself for None."""
+    if rows is None:
+        return a
+    return np.concatenate([a[..., start:stop, :] for start, stop in rows], axis=-2)
+
+
+def _scatter_rows(a, shape, rows):
+    """An array of `shape` holding `a` in the ranges `rows` along axis -2 and zeros elsewhere;
+    `a` itself for None. The inverse of :func:`_gather_rows` on those rows."""
+    if rows is None:
+        return a
+    out = np.zeros(shape)
+    offset = 0
+    for start, stop in rows:
+        out[..., start:stop, :] = a[..., offset:offset + stop - start, :]
+        offset += stop - start
+    return out
+
+
+def softmax(x, rows=None):
+    """Numerically stable softmax along the last axis, on `rows` only if given."""
     _check_operands("softmax", x)
-    data = kernels.softmax_lastaxis(x.data)
+    _check_rows("softmax", x, rows)
+    live = kernels.softmax_lastaxis(_gather_rows(x.data, rows))
 
     def backward(g):
-        return (kernels.softmax_lastaxis_grad(data, g),)
+        return (_scatter_rows(kernels.softmax_lastaxis_grad(live, _gather_rows(g, rows)), x.shape, rows),)
 
-    return _from_op(data, (x,), backward, "softmax")
+    return _from_op(_scatter_rows(live, x.shape, rows), (x,), backward, "softmax")
 
 
-def layernorm(x):
-    """Layer normalization over the last axis (eps 1e-5), without scale or shift."""
+def layernorm(x, rows=None):
+    """Layer normalization over the last axis (eps 1e-5), without scale or shift, on `rows` only if given."""
     _check_operands("layernorm", x)
-    data, rstd = kernels.layernorm_lastaxis(x.data, 1e-5)
+    _check_rows("layernorm", x, rows)
+    live, rstd = kernels.layernorm_lastaxis(_gather_rows(x.data, rows), 1e-5)
 
     def backward(g):
-        return (kernels.layernorm_lastaxis_grad(data, rstd, g),)
+        return (_scatter_rows(kernels.layernorm_lastaxis_grad(live, rstd, _gather_rows(g, rows)), x.shape, rows),)
 
-    return _from_op(data, (x,), backward, "layernorm")
+    return _from_op(_scatter_rows(live, x.shape, rows), (x,), backward, "layernorm")
 
 
-def gelu(x):
-    """Exact erf-based GELU."""
+def gelu(x, rows=None):
+    """Exact erf-based GELU, on `rows` only if given."""
     _check_operands("gelu", x)
-    data, t = kernels.gelu(x.data)
+    _check_rows("gelu", x, rows)
+    live_x = _gather_rows(x.data, rows)
+    live, t = kernels.gelu(live_x)
 
     def backward(g):
-        return (kernels.gelu_grad(x.data, t, g),)
+        return (_scatter_rows(kernels.gelu_grad(live_x, t, _gather_rows(g, rows)), x.shape, rows),)
 
-    return _from_op(data, (x,), backward, "gelu")
+    return _from_op(_scatter_rows(live, x.shape, rows), (x,), backward, "gelu")
 
 
 def l2_normalize(x):

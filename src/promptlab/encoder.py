@@ -33,12 +33,17 @@ Nothing before a stack's first insertion layer depends on the prompts.
 :class:`Prefix` of token arrays; ``forward`` resumes from one at its block
 with the same bits as a forward from the images.
 
-A pass that records no graph (a prefix, or a forward whose stack has no
-prompt requiring gradients) runs the blocks over tiles of ``_TILE`` images,
-sized so a tile's arrays stay in a per-core L2 cache, and each block
-computes only the token rows that something reads. Every matmul inside the
+Each block's output rows that something reads follow one rule
+(:meth:`EncoderState._kept_rows`). A pass that records no graph (a prefix,
+or a forward whose stack has no prompt requiring gradients) runs the blocks
+over tiles of ``_TILE`` images, sized so a tile's arrays stay in a per-core
+L2 cache, and each block computes only those rows. Every matmul inside the
 blocks runs image by image on at least two rows, so neither the tile nor
-the kept rows move a bit of the features.
+the kept rows move a bit of the features. A pass that records a graph
+keeps the shape of every product, since a training matmul of another shape
+gives other bits, and runs only its softmax, MLP layer norm and GELU on the
+kept rows; the others hold zeros there, which the fixed-shape matmuls carry
+without touching a kept row.
 """
 
 import hashlib
@@ -61,9 +66,9 @@ Rows = Tuple[Tuple[int, int], ...]
 # backbone with 8 prompts), fits a 2 MB L2 cache; 256 images did not.
 _TILE = 64
 
-# Rows the last block computes when no graph is recorded: the class row that the
-# projection reads, plus one more, because a one-row matmul gives other bits than
-# the same row in a larger one.
+# Rows of the last block's output that a forward keeps: the class row that the
+# projection reads, plus one more, because a graph-free pass computes only these
+# and a one-row matmul gives other bits than the same row in a larger one.
 _LAST_ROWS = 2
 
 __all__ = [
@@ -203,16 +208,20 @@ class PromptStack:
         """True when a prompt requires gradients: a forward with this stack records a graph."""
         return any(t.requires_grad for t in self.prompts.values())
 
-    def drops_prompt_rows(self, layer: int) -> bool:
-        """True when block `layer` computes no outputs for its prompt rows.
+    def discards_prompt_outputs(self, layer: int) -> bool:
+        """True when nothing reads block `layer`'s prompt-row outputs: a ``deep``
+        stack owns both `layer` and the next layer, whose insertion replaces them.
+        The rows still serve block `layer` as keys and values."""
+        return self.strategy == "deep" and layer in self.prompts and layer + 1 in self.prompts
 
-        That holds in a graph-free ``deep`` stack that owns both `layer` and
-        the next layer, which discards those outputs; the rows still serve
-        block `layer` as keys and values. A forward that records a graph
-        keeps every row.
+    def drops_prompt_rows(self, layer: int) -> bool:
+        """True when block `layer`'s output lacks its prompt rows altogether.
+
+        That holds where they are discarded (:meth:`discards_prompt_outputs`)
+        in a forward that records no graph. A graph pass keeps every
+        product's shape, so the rows are there, holding the block's input.
         """
-        return (self.strategy == "deep" and layer in self.prompts and layer + 1 in self.prompts
-                and not self.requires_grad)
+        return self.discards_prompt_outputs(layer) and not self.requires_grad
 
     def parameters(self):
         """(name, tensor) pairs in a stable order."""
@@ -286,9 +295,9 @@ class EncoderState:
     `prefix_blocks` counts the blocks before the first insertion layer (all
     of them for a ``none`` stack, whose :class:`Prefix` then holds the last
     block's first two rows). A forward records a graph exactly when a prompt
-    of the stack requires gradients; only then does it run every row of
-    every image in one pass. A state is safe to share read-only across
-    threads.
+    of the stack requires gradients; only then does it run every image in
+    one pass, with every product's shape kept. A state is safe to share
+    read-only across threads.
     """
 
     def __init__(self, config: EncoderConfig, weights: Dict[str, Tensor], prompt_stack: PromptStack):
@@ -348,7 +357,8 @@ class EncoderState:
             )
         return np.ascontiguousarray(arr)
 
-    def _attention(self, x: Tensor, prefix: str, rows: Optional[Rows]) -> Tensor:
+    def _attention(self, x: Tensor, prefix: str, taken: Optional[Rows], live: Optional[Rows]) -> Tensor:
+        """Attention of the `taken` query rows of `x` (all for None), their softmax run on `live` rows only."""
         cfg = self.config
         b, h, dh = x.shape[0], cfg.heads, cfg.head_dim
 
@@ -356,32 +366,40 @@ class EncoderState:
             out = dc.matmul(src, self.weights[f"{prefix}.attn.{name}"])
             return dc.swapaxes(dc.reshape(out, (b, src.shape[1], h, dh)), 1, 2)
 
-        q = proj(_take_rows(x, rows), "wq")
+        q = proj(_take_rows(x, taken), "wq")
         k, v = proj(x, "wk"), proj(x, "wv")
         scores = dc.scale(dc.matmul(q, dc.swapaxes(k, 2, 3)), dh ** -0.5)
-        mixed = dc.matmul(dc.softmax(scores), v)
+        mixed = dc.matmul(dc.softmax(scores, live), v)
         merged = dc.reshape(dc.swapaxes(mixed, 1, 2), (b, q.shape[2], cfg.width))
         return dc.matmul(merged, self.weights[f"{prefix}.attn.wo"])
 
     def _block(self, x: Tensor, index: int, rows: Optional[Rows] = None) -> Tensor:
-        """Block `index`; given `rows`, only those token rows are queries and come out."""
+        """Block `index`, of whose output only the token `rows` are read (all for None).
+
+        A pass that records no graph computes only those rows. A graph pass
+        keeps every product's shape and runs the attention softmax, the MLP's
+        layer norm and GELU on those rows alone; every other output row holds
+        the block's input, and its gradient is zero.
+        """
         p = f"backbone.block_{index}"
-        x = dc.add(_take_rows(x, rows), self._attention(dc.layernorm(x), p, rows))
-        hidden = dc.gelu(dc.matmul(dc.layernorm(x), self.weights[f"{p}.mlp.w1"]))
+        taken, live = (None, rows) if self.prompt_stack.requires_grad else (rows, None)
+        x = dc.add(_take_rows(x, taken), self._attention(dc.layernorm(x), p, taken, live))
+        hidden = dc.gelu(dc.matmul(dc.layernorm(x, live), self.weights[f"{p}.mlp.w1"]), live)
         return dc.add(x, dc.matmul(hidden, self.weights[f"{p}.mlp.w2"]))
 
     def _kept_rows(self, index: int, seq_len: int) -> Optional[Rows]:
-        """The token rows block `index` computes, or None for all of them.
+        """The token rows of block `index`'s output that something reads, or None for all.
 
-        A forward that records a graph keeps every row. Without one, the last
-        block computes rows 0.._LAST_ROWS, and a block whose prompt rows'
-        outputs the next block discards (:meth:`PromptStack.drops_prompt_rows`)
-        computes its class and patch rows.
+        The projection reads only row 0 of the last block, which keeps rows
+        0.._LAST_ROWS. A block whose prompt rows' outputs the next insertion
+        replaces (:meth:`PromptStack.discards_prompt_outputs`) keeps its class
+        and patch rows. This is the one rule, in graph passes and graph-free
+        ones alike; :meth:`_block` says what each does with it.
         """
         stack = self.prompt_stack
-        if index == self.config.depth - 1 and not stack.requires_grad:
+        if index == self.config.depth - 1:
             return ((0, _LAST_ROWS),)
-        if stack.drops_prompt_rows(index):
+        if stack.discards_prompt_outputs(index):
             return ((0, 1), (1 + stack.length, seq_len))
         return None
 

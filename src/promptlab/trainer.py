@@ -19,7 +19,9 @@ frozen path takes no gradients and is deterministic, so per-batch
 recomputation would produce the identical values. Evaluation does the
 same: one test-pool prefix per run, before the first epoch, and one split
 table (:func:`_splits`) say what the per-epoch eval (the mode's headline
-split) and the final metrics (every split) score, from slices of it.
+split) and the final metrics (every split) score, from slices of it. The
+final metrics take the headline split from the last epoch's eval, which
+scored it with the final prompts.
 """
 
 import itertools
@@ -324,9 +326,15 @@ def _splits(task: FewShotTask) -> Dict[str, Tuple[slice, np.ndarray, Sequence[in
     return splits
 
 
-def _score(state: EncoderState, bank: ClassEmbeddingBank, task: FewShotTask, pool) -> Dict[str, float]:
-    """Every split of :func:`_splits` that has images, read from `pool`, the test pool's prefix."""
-    scores = {name: _split_accuracy(state, bank, pool[rows], labels, classes)
+def _score(state: EncoderState, bank: ClassEmbeddingBank, task: FewShotTask, pool,
+           known: Optional[Dict[str, Optional[float]]] = None) -> Dict[str, float]:
+    """Every split of :func:`_splits` that has images, read from `pool`, the test pool's prefix.
+
+    `known` maps split names to the accuracies that the state's current
+    prompts already scored; those splits are not forwarded again.
+    """
+    known = known or {}
+    scores = {name: known[name] if name in known else _split_accuracy(state, bank, pool[rows], labels, classes)
               for name, (rows, labels, classes) in _splits(task).items()}
     metrics = {name: value for name, value in scores.items() if value is not None}
     if "base_accuracy" in metrics and "novel_accuracy" in metrics:
@@ -406,10 +414,12 @@ def train(
                 "total": loss.item(),
                 **{k: v.item() for k, v in parts.items()},
             })
+            del feats, loss, parts  # free the step's graph before the next step or eval
         if config.eval_each_epoch:
             epoch_eval.append(_split_accuracy(state, bank, pool[eval_rows], eval_labels, eval_classes))
 
-    eval_metrics = _score(state, bank, task, pool)
+    # the last epoch's eval scored the headline split with the final prompts
+    eval_metrics = _score(state, bank, task, pool, {headline: epoch_eval[-1]} if epoch_eval else None)
     eval_metrics["train_accuracy"] = _split_accuracy(
         state, bank, prefix, task.train_labels, train_classes
     )

@@ -637,6 +637,71 @@ def test_composite_network_gradient():
 
 
 # ---------------------------------------------------------------------------
+# row-wise ops on some rows: the full op's bytes there, zeros elsewhere
+# ---------------------------------------------------------------------------
+
+ROW_OPS = {"softmax": dc.softmax, "layernorm": dc.layernorm, "gelu": dc.gelu}
+# (start, stop) ranges along axis -2 of a (2, 3, 5, 4) input
+ROW_RANGES = pytest.mark.parametrize("rows", [((1, 4),), ((0, 1), (3, 5)), ((2, 3),)],
+                                     ids=["one-range", "two-ranges", "one-row"])
+
+
+def _live(rows, n):
+    live = np.zeros(n, dtype=bool)
+    for start, stop in rows:
+        live[start:stop] = True
+    return live
+
+
+@ROW_RANGES
+@pytest.mark.parametrize("name", sorted(ROW_OPS))
+def test_row_op_is_the_full_op_on_its_rows(name, rows):
+    op = ROW_OPS[name]
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    x = Tensor(rng.normal(size=(2, 3, 5, 4)), requires_grad=True)
+    live = _live(rows, 5)
+    full, part = op(x), op(x, rows)
+    assert part.shape == full.shape and part.requires_grad
+    assert part.data[..., live, :].tobytes() == full.data[..., live, :].tobytes()
+    assert part.data[..., ~live, :].tobytes() == np.zeros_like(part.data[..., ~live, :]).tobytes()
+
+    # An upstream gradient that vanishes on the dead rows, as in an encoder
+    # block whose dead rows nothing reads: the live rows' input gradients are
+    # the full op's bytes, and the dead rows' are zero in both.
+    up = rng.normal(size=x.shape)
+    up[..., ~live, :] = 0.0
+    grads = []
+    for out in (full, part):
+        x.zero_grad()
+        dc.tensor_sum(dc.mul(out, Tensor(up))).backward()
+        grads.append(x.grad)
+    assert grads[1][..., live, :].tobytes() == grads[0][..., live, :].tobytes()
+    assert not grads[0][..., ~live, :].any() and not grads[1][..., ~live, :].any()
+
+
+@ROW_RANGES
+@pytest.mark.parametrize("name", sorted(ROW_OPS))
+def test_row_op_gradients_match_differences(name, rows):
+    # the dead rows are constants, so their numeric gradient is zero too
+    op = ROW_OPS[name]
+    rng = np.random.default_rng(zlib.crc32(f"{name}{rows}".encode()))
+    for _ in range(10):
+        w = Tensor(_probe(rng, (2, 5, 4)))
+        x = np.clip(2.0 * _probe(rng, (2, 5, 4)), -4, 4)
+        report = finite_difference_check(lambda t: dc.tensor_sum(dc.mul(op(t, rows), w)), x, tolerance=1e-5)
+        assert report.passed, str(report)
+        assert not report.autodiff_grad[:, ~_live(rows, 5), :].any()
+
+
+@pytest.mark.parametrize("rows", [(), ((2, 1),), ((0, 2), (1, 3)), ((0, 1), (1, 2)), ((0, 6),), ((-1, 2),)],
+                         ids=["empty", "reversed", "overlapping", "adjacent", "past-the-end", "negative"])
+@pytest.mark.parametrize("name", sorted(ROW_OPS))
+def test_row_op_refuses_bad_rows(name, rows):
+    with pytest.raises(DimensionError):
+        ROW_OPS[name](Tensor(np.zeros((2, 5, 4))), rows)
+
+
+# ---------------------------------------------------------------------------
 # one writer of tensor values
 # ---------------------------------------------------------------------------
 

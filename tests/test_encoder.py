@@ -16,6 +16,7 @@ from promptlab.encoder import (
     progressive_combine,
 )
 from promptlab.errors import CheckpointError, ConfigError, DimensionError
+from promptlab.heads import ClassEmbeddingBank, LossConfig, step_loss
 
 CFG = EncoderConfig(depth=3, width=16, heads=2, patch_count=5, patch_dim=4, output_dim=6, seed=7)
 
@@ -484,6 +485,34 @@ def test_prefix_from_another_backbone_is_refused():
 def test_prefix_of_no_images_is_empty():
     prefix = EncoderState.create(CFG).prefix(np.zeros((0, CFG.patch_count, CFG.patch_dim)))
     assert len(prefix) == 0 and prefix.tokens.shape == (0, 2, CFG.width)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5])
+@pytest.mark.parametrize("strategy, layers", [
+    (strategy, layers) for strategy in ("shallow", "deep", "progressive") for layers in ((0, 1), (1, 2), (2,))
+])
+def test_graph_forward_on_kept_rows_equals_all_rows_bytes(strategy, layers, batch, monkeypatch):
+    # A graph pass runs its row-wise ops only on the rows _kept_rows names,
+    # keeping every product's shape; forcing every row must move no byte of
+    # the features, the loss or any prompt gradient.
+    alpha = 0.1 if strategy == "progressive" else None
+    stack = PromptStack.create(strategy, 3, CFG.width, active_layers=layers, alpha=alpha, seed=4)
+    enc = EncoderState.create(CFG, stack)
+    imgs = _images(batch, seed=batch)
+    bank = ClassEmbeddingBank.generate(4, CFG.output_dim, seed=1, temperature=0.1, max_cosine=0.9)
+    labels = np.arange(batch) % 4
+
+    def run():
+        for _, tensor in stack.parameters():
+            tensor.zero_grad()
+        feats = enc.forward(imgs)
+        loss, _ = step_loss(feats, None, bank, labels, LossConfig(mode="ce_only"))
+        loss.backward()
+        return feats.data.tobytes(), loss.data.tobytes(), [t.grad.tobytes() for _, t in stack.parameters()]
+
+    kept = run()
+    monkeypatch.setattr(EncoderState, "_kept_rows", lambda state, index, seq_len: None)
+    assert run() == kept
 
 
 # ---------------------------------------------------------------------------

@@ -165,8 +165,9 @@ def test_evaluate_task_makes_three_eval_feature_calls(monkeypatch):
 def test_epoch_eval_is_one_base_split_call_per_epoch(monkeypatch):
     """A ``base_to_novel`` run with ``eval_each_epoch`` scores each epoch with
     one ``_forward_features`` call of the base test images inside
-    ``_split_accuracy``, then the base, novel and train splits; the probe's
-    ``eval_images`` counts every one of them."""
+    ``_split_accuracy``, then the novel and train splits: the final base
+    accuracy is the last epoch's, scored with the same prompts. The probe's
+    ``eval_images`` counts every call."""
     monkeypatch.syspath_prepend(PERFBENCH)
     import instrument
 
@@ -188,8 +189,9 @@ def test_epoch_eval_is_one_base_split_call_per_epoch(monkeypatch):
         patcher.restore()
     n_train, n_base, n_novel = len(task.train_images), len(task.base_test_images), len(task.novel_test_images)
     assert n_base and n_novel and len(record.epoch_eval) == 3
-    assert calls == [(n_train, 0)] + [(n_base, 1)] * 3 + [(n_base, 1), (n_novel, 1), (n_train, 1)]
-    assert probe.eval_images == 3 * n_base + n_base + n_novel + n_train
+    assert calls == [(n_train, 0)] + [(n_base, 1)] * 3 + [(n_novel, 1), (n_train, 1)]
+    assert probe.eval_images == 3 * n_base + n_novel + n_train
+    assert record.eval_metrics["base_accuracy"] == record.epoch_eval[-1]
 
 
 def _pinned_digests():

@@ -325,7 +325,8 @@ def test_training_runs_frozen_work_once_per_run(bank, monkeypatch):
     """A deep 2..3 run embeds each image and runs block 0 on it once, in a
     prefix pass: the train images once for every step, the frozen features
     and the train accuracy; the test pool once for every epoch's base-split
-    eval and the base and novel splits of the final eval."""
+    eval and the novel split of the final eval, whose base split is the last
+    epoch's."""
     deep3 = EncoderState.create(replace(ENC_CFG, depth=3))
     task = _episode()
     cfg = _short_config(strategy="deep", alpha=None, depth_range=(2, 3), batch_size=3,
@@ -371,8 +372,8 @@ def test_training_runs_frozen_work_once_per_run(bank, monkeypatch):
     assert calls[1, "step"] == calls[2, "step"] == steps
     assert embedded["prefix"] == len(task.train_images) + len(task.test_images)
     assert calls["embed", "features"] == calls[0, "features"] == 0
-    # frozen features, 2 epoch evals, base, novel and train accuracy resume at block 1
-    assert calls[1, "features"] == 1 + 2 + 2 + 1
+    # frozen features, 2 epoch evals, novel and train accuracy resume at block 1
+    assert calls[1, "features"] == 1 + 2 + 1 + 1
 
 
 def test_training_step_computes_one_erf_per_block(monkeypatch):
@@ -556,39 +557,47 @@ def test_evaluate_task_work_budget(bank, monkeypatch, name):
 
 
 # Work between consecutive SGD.step calls of two runs on a depth-4 world, one
-# dict per window: recorded graph nodes and GELU input elements. The ref run's
-# middle window holds its first epoch's eval, which records no node. Nodes per
-# step are those of perfbench's b2n_train and fewshot_late shapes.
+# dict per window: recorded graph nodes and the input elements of the GELU,
+# softmax and layer norm kernels. The ref run's middle window holds its first
+# epoch's eval, which records no node. Nodes per step are those of perfbench's
+# b2n_train and fewshot_late shapes.
 TRAIN_BUDGET = {
-    "progressive-ref": [{"nodes": 142, "gelu": 9216}, {"nodes": 142, "gelu": 38912},
-                        {"nodes": 142, "gelu": 9216}],
-    "deep-kd": [{"nodes": 76, "gelu": 4608}] * 3,
+    "progressive-ref": [
+        {"nodes": 142, "gelu": 7424, "softmax": 2096, "layernorm": 4736},
+        {"nodes": 142, "gelu": 37120, "softmax": 10480, "layernorm": 21888},
+        {"nodes": 142, "gelu": 7424, "softmax": 2096, "layernorm": 4736},
+    ],
+    "deep-kd": [{"nodes": 76, "gelu": 1792, "softmax": 536, "layernorm": 2176}] * 3,
 }
 TRAIN_RUNS = {
     "progressive-ref": dict(depth_range=(1, 4), batch_size=4),
     "deep-kd": dict(strategy="deep", alpha=None, depth_range=(3, 4), batch_size=4, shots=2,
                     mode="few_shot", loss=LossConfig(mode="kd"), eval_each_epoch=False),
 }
+COUNTED_KERNELS = {"gelu": "gelu", "softmax": "softmax_lastaxis", "layernorm": "layernorm_lastaxis"}
 
 
 @pytest.mark.parametrize("name", sorted(TRAIN_BUDGET))
 def test_train_step_work_budget(bank, monkeypatch, name):
     """A step records only the graph its loss needs: each first or deep
     insertion broadcasts its prompt with one node, and the per-epoch eval
-    between two steps records none."""
+    between two steps records none. Its softmax, MLP layer norm and GELU run
+    only on the token rows that something reads."""
     config = _short_config(max_epochs=2, **TRAIN_RUNS[name])
     task = _episode(shots=config.shots, mode=config.mode)
     counts, windows = Counter(), []
-    from_op, gelu, step = dc._from_op, kernels.gelu, SGD.step
+    from_op, step = dc._from_op, SGD.step
 
     def counting_from_op(*args):
         out = from_op(*args)
         counts["nodes"] += bool(out._parents)
         return out
 
-    def counting_gelu(x):
-        counts["gelu"] += x.size
-        return gelu(x)
+    def counting(key, kernel):
+        def counted(x, *args):
+            counts[key] += x.size
+            return kernel(x, *args)
+        return counted
 
     def counted_step(optimizer, *args, **kwargs):
         windows.append(dict(counts))
@@ -596,7 +605,8 @@ def test_train_step_work_budget(bank, monkeypatch, name):
         return step(optimizer, *args, **kwargs)
 
     monkeypatch.setattr(dc, "_from_op", counting_from_op)
-    monkeypatch.setattr(kernels, "gelu", counting_gelu)
+    for key, kernel in COUNTED_KERNELS.items():
+        monkeypatch.setattr(kernels, kernel, counting(key, getattr(kernels, kernel)))
     monkeypatch.setattr(SGD, "step", counted_step)
     train(task, EncoderState.create(replace(ENC_CFG, depth=4)), bank, config, seed=0)
     assert windows[1:] == TRAIN_BUDGET[name]
