@@ -10,6 +10,12 @@ the result, of the input's shape, holds zeros in every other row. Those
 zeros are constants, so the backward runs on the same rows and gives the
 others a zero gradient; where the upstream gradient already vanishes on
 them, every byte matches the op without `rows`.
+:func:`attention` and :func:`mlp` are the two halves of a pre-norm
+transformer block, each one node whose backward is written by hand. Their
+weights are frozen: they take weight Tensors that require no gradient,
+refuse one that does with ConfigError, and return the gradient of the
+tokens alone. Their forward keeps only what their backward reads, and the
+backward recomputes nothing.
 Operations build an implicit DAG through parent links. Results of
 operations require gradients exactly when one of their inputs does, and
 operations whose inputs are all gradient-free record no parents at all,
@@ -40,7 +46,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .errors import DegenerateInputError, DimensionError, EvaluationError
+from .errors import ConfigError, DegenerateInputError, DimensionError, EvaluationError
 
 __all__ = [
     "Tensor",
@@ -58,6 +64,8 @@ __all__ = [
     "softmax",
     "layernorm",
     "gelu",
+    "attention",
+    "mlp",
     "l2_normalize",
     "log",
     "clamp_min",
@@ -329,15 +337,19 @@ def broadcast_to(x, shape):
 # nonlinear primitives
 # ---------------------------------------------------------------------------
 
-def _check_rows(op, x, rows):
+# The epsilon of every layer norm: layernorm's and the block ops' must agree.
+_LAYERNORM_EPS = 1e-5
+
+
+def _check_rows(op, shape, rows):
     """Raise DimensionError unless `rows` is None or (start, stop) ranges whose bounds
-    strictly ascend within axis -2 of `x`: non-empty, in order, and apart."""
+    strictly ascend within axis -2 of `shape`: non-empty, in order, and apart."""
     if rows is None:
         return
     bounds = [bound for pair in rows for bound in pair]
-    if (x.ndim < 2 or not rows or any(len(pair) != 2 for pair in rows) or bounds[0] < 0
-            or bounds[-1] > x.shape[-2] or any(a >= b for a, b in zip(bounds, bounds[1:]))):
-        raise DimensionError(f"{op} rows must be ascending ranges within axis -2 of {x.shape}, got {rows}")
+    if (len(shape) < 2 or not rows or any(len(pair) != 2 for pair in rows) or bounds[0] < 0
+            or bounds[-1] > shape[-2] or any(a >= b for a, b in zip(bounds, bounds[1:]))):
+        raise DimensionError(f"{op} rows must be ascending ranges within axis -2 of {shape}, got {rows}")
 
 
 def _gather_rows(a, rows):
@@ -363,7 +375,7 @@ def _scatter_rows(a, shape, rows):
 def softmax(x, rows=None):
     """Numerically stable softmax along the last axis, on `rows` only if given."""
     _check_operands("softmax", x)
-    _check_rows("softmax", x, rows)
+    _check_rows("softmax", x.shape, rows)
     live = kernels.softmax_lastaxis(_gather_rows(x.data, rows))
 
     def backward(g):
@@ -375,8 +387,8 @@ def softmax(x, rows=None):
 def layernorm(x, rows=None):
     """Layer normalization over the last axis (eps 1e-5), without scale or shift, on `rows` only if given."""
     _check_operands("layernorm", x)
-    _check_rows("layernorm", x, rows)
-    live, rstd = kernels.layernorm_lastaxis(_gather_rows(x.data, rows), 1e-5)
+    _check_rows("layernorm", x.shape, rows)
+    live, rstd = kernels.layernorm_lastaxis(_gather_rows(x.data, rows), _LAYERNORM_EPS)
 
     def backward(g):
         return (_scatter_rows(kernels.layernorm_lastaxis_grad(live, rstd, _gather_rows(g, rows)), x.shape, rows),)
@@ -387,7 +399,7 @@ def layernorm(x, rows=None):
 def gelu(x, rows=None):
     """Exact erf-based GELU, on `rows` only if given."""
     _check_operands("gelu", x)
-    _check_rows("gelu", x, rows)
+    _check_rows("gelu", x.shape, rows)
     live_x = _gather_rows(x.data, rows)
     live, t = kernels.gelu(live_x)
 
@@ -395,6 +407,105 @@ def gelu(x, rows=None):
         return (_scatter_rows(kernels.gelu_grad(live_x, t, _gather_rows(g, rows)), x.shape, rows),)
 
     return _from_op(_scatter_rows(live, x.shape, rows), (x,), backward, "gelu")
+
+
+# ---------------------------------------------------------------------------
+# the two halves of a pre-norm transformer block, one node each
+# ---------------------------------------------------------------------------
+
+def _check_block_operands(op, x, weights, shapes):
+    """Raise unless `x` is a (batch, tokens, width) Tensor and `weights` are frozen
+    Tensors of `shapes`, in which None stands for the width."""
+    _check_operands(op, x, *weights)
+    if x.ndim != 3:
+        raise DimensionError(f"{op} takes (batch, tokens, width) tokens, got {x.shape}")
+    for w, shape in zip(weights, shapes):
+        if w.shape != tuple(x.shape[2] if n is None else n for n in shape):
+            raise DimensionError(f"{op} weight shaped {w.shape} does not fit tokens {x.shape}")
+        if w.requires_grad:
+            raise ConfigError(f"{op} takes frozen weights only, got one that requires a gradient")
+
+
+def attention(x, wq, wk, wv, wo, heads, taken=None, live=None):
+    """The attention half of a pre-norm block: the `taken` rows of `x` (all for None)
+    plus multi-head self-attention of layernorm(`x`) for those query rows, one node.
+
+    Every token serves as a key and a value. The softmax runs on the `live`
+    rows of the output only, as :func:`softmax` does with `rows`. The weights
+    are frozen (d, d) maps; the backward returns the gradient of `x` alone.
+    The calls are those of the composed ops, in their order and layouts, and
+    the backward sums the three projections' gradients into the layer norm's
+    output in the order the tape would (v, k, then q), so each byte matches.
+    Kept for the backward: the norm and its rstd, q, k transposed, v and the
+    softmax probabilities.
+    """
+    _check_block_operands("attention", x, (wq, wk, wv, wo), [(None, None)] * 4)
+    b, s, d = x.shape
+    if heads < 1 or d % heads:
+        raise DimensionError(f"attention width {d} does not split into {heads} heads")
+    _check_rows("attention", x.shape, taken)
+    rows = s if taken is None else sum(stop - start for start, stop in taken)
+    _check_rows("attention", (b, rows, d), live)
+    dh = d // heads
+    factor = dh ** -0.5
+    norm, rstd = kernels.layernorm_lastaxis(x.data, _LAYERNORM_EPS)
+
+    def split(a, w):
+        """a @ w as (batch, heads, rows, head_dim), contiguous."""
+        return np.swapaxes(np.matmul(a, w.data).reshape(b, a.shape[1], heads, dh), 1, 2).copy()
+
+    q = split(_gather_rows(norm, taken), wq)
+    k, v = split(norm, wk), split(norm, wv)
+    kt = np.swapaxes(k, 2, 3).copy()
+    scores = np.matmul(q, kt) * factor
+    probs = _scatter_rows(kernels.softmax_lastaxis(_gather_rows(scores, live)), scores.shape, live)
+    merged = np.swapaxes(np.matmul(probs, v), 1, 2).copy().reshape(b, rows, d)
+    data = _gather_rows(x.data, taken) + np.matmul(merged, wo.data)
+
+    def merge(g, w):
+        """The gradient of `a` in split(a, w), given that of the split."""
+        return np.matmul(np.ascontiguousarray(np.swapaxes(g, 1, 2)).reshape(b, g.shape[2], d), w.data.T)
+
+    def backward(g):
+        g_mixed = np.ascontiguousarray(np.swapaxes(np.matmul(g, wo.data.T).reshape(b, rows, heads, dh), 1, 2))
+        g_probs = np.matmul(g_mixed, np.swapaxes(v, -1, -2))
+        g_norm = merge(np.matmul(np.swapaxes(probs, -1, -2), g_mixed), wv)
+        g_scores = _scatter_rows(
+            kernels.softmax_lastaxis_grad(_gather_rows(probs, live), _gather_rows(g_probs, live)),
+            probs.shape, live) * factor
+        g_norm = g_norm + merge(np.ascontiguousarray(np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), g_scores), 2, 3)), wk)
+        g_norm = g_norm + _scatter_rows(merge(np.matmul(g_scores, np.swapaxes(kt, -1, -2)), wq), x.shape, taken)
+        return (_scatter_rows(g, x.shape, taken) + kernels.layernorm_lastaxis_grad(norm, rstd, g_norm),)
+
+    return _from_op(data, (x,), backward, "attention")
+
+
+def mlp(x, w1, w2, live=None):
+    """The MLP half of a pre-norm block: `x` + gelu(layernorm(`x`) @ w1) @ w2, one node.
+
+    The layer norm and GELU run on the `live` rows only, as :func:`layernorm`
+    and :func:`gelu` do with `rows`; both matmuls keep the full shape. The
+    weights are frozen (d, hidden) and (hidden, d) maps; the backward returns
+    the gradient of `x` alone. Kept for the backward: the norm's live rows
+    and rstd, GELU's live input rows and its `t`.
+    """
+    _check_operands("mlp", x, w1, w2)
+    hidden_width = w1.shape[-1]
+    _check_block_operands("mlp", x, (w1, w2), [(None, hidden_width), (hidden_width, None)])
+    _check_rows("mlp", x.shape, live)
+    norm, rstd = kernels.layernorm_lastaxis(_gather_rows(x.data, live), _LAYERNORM_EPS)
+    hidden_shape = x.shape[:2] + (hidden_width,)
+    pre = _gather_rows(np.matmul(_scatter_rows(norm, x.shape, live), w1.data), live)
+    hidden, t = kernels.gelu(pre)
+    data = x.data + np.matmul(_scatter_rows(hidden, hidden_shape, live), w2.data)
+
+    def backward(g):
+        g_pre = kernels.gelu_grad(pre, t, _gather_rows(np.matmul(g, w2.data.T), live))
+        g_norm = np.matmul(_scatter_rows(g_pre, hidden_shape, live), w1.data.T)
+        return (g + _scatter_rows(kernels.layernorm_lastaxis_grad(norm, rstd, _gather_rows(g_norm, live)),
+                                  x.shape, live),)
+
+    return _from_op(data, (x,), backward, "mlp")
 
 
 def l2_normalize(x):

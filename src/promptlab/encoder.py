@@ -43,7 +43,9 @@ the kept rows move a bit of the features. A pass that records a graph
 keeps the shape of every product, since a training matmul of another shape
 gives other bits, and runs only its softmax, MLP layer norm and GELU on the
 kept rows; the others hold zeros there, which the fixed-shape matmuls carry
-without touching a kept row.
+without touching a kept row. Both kinds of pass run a block as the same two
+ops, :func:`diffcore.attention` and :func:`diffcore.mlp`, so a graph pass
+records two nodes per block.
 """
 
 import hashlib
@@ -357,35 +359,21 @@ class EncoderState:
             )
         return np.ascontiguousarray(arr)
 
-    def _attention(self, x: Tensor, prefix: str, taken: Optional[Rows], live: Optional[Rows]) -> Tensor:
-        """Attention of the `taken` query rows of `x` (all for None), their softmax run on `live` rows only."""
-        cfg = self.config
-        b, h, dh = x.shape[0], cfg.heads, cfg.head_dim
-
-        def proj(src, name):
-            out = dc.matmul(src, self.weights[f"{prefix}.attn.{name}"])
-            return dc.swapaxes(dc.reshape(out, (b, src.shape[1], h, dh)), 1, 2)
-
-        q = proj(_take_rows(x, taken), "wq")
-        k, v = proj(x, "wk"), proj(x, "wv")
-        scores = dc.scale(dc.matmul(q, dc.swapaxes(k, 2, 3)), dh ** -0.5)
-        mixed = dc.matmul(dc.softmax(scores, live), v)
-        merged = dc.reshape(dc.swapaxes(mixed, 1, 2), (b, q.shape[2], cfg.width))
-        return dc.matmul(merged, self.weights[f"{prefix}.attn.wo"])
-
     def _block(self, x: Tensor, index: int, rows: Optional[Rows] = None) -> Tensor:
         """Block `index`, of whose output only the token `rows` are read (all for None).
 
-        A pass that records no graph computes only those rows. A graph pass
-        keeps every product's shape and runs the attention softmax, the MLP's
-        layer norm and GELU on those rows alone; every other output row holds
-        the block's input, and its gradient is zero.
+        Two ops make the block, each one autodiff node: :func:`dc.attention`
+        and :func:`dc.mlp`. A pass that records no graph computes only the
+        read rows (`taken`). A graph pass keeps every product's shape and runs
+        the attention softmax, the MLP's layer norm and GELU on those rows
+        alone (`live`); every other output row holds the block's input, and
+        its gradient is zero.
         """
-        p = f"backbone.block_{index}"
+        p, w = f"backbone.block_{index}", self.weights
         taken, live = (None, rows) if self.prompt_stack.requires_grad else (rows, None)
-        x = dc.add(_take_rows(x, taken), self._attention(dc.layernorm(x), p, taken, live))
-        hidden = dc.gelu(dc.matmul(dc.layernorm(x, live), self.weights[f"{p}.mlp.w1"]), live)
-        return dc.add(x, dc.matmul(hidden, self.weights[f"{p}.mlp.w2"]))
+        attn = [w[f"{p}.attn.{name}"] for name in ("wq", "wk", "wv", "wo")]
+        x = dc.attention(x, *attn, self.config.heads, taken, live)
+        return dc.mlp(x, w[f"{p}.mlp.w1"], w[f"{p}.mlp.w2"], live)
 
     def _kept_rows(self, index: int, seq_len: int) -> Optional[Rows]:
         """The token rows of block `index`'s output that something reads, or None for all.
@@ -488,16 +476,8 @@ class EncoderState:
             x = self._tokens(images, self.config.depth)
         else:
             x = Tensor(self._tiled(images, self.config.depth))
-        cls_tok = dc.reshape(dc.slice_axis(dc.layernorm(x), 1, 0, 1), (x.shape[0], self.config.width))
+        cls_tok = dc.reshape(dc.layernorm(dc.slice_axis(x, 1, 0, 1)), (x.shape[0], self.config.width))
         return dc.l2_normalize(dc.matmul(cls_tok, self.weights["backbone.proj.weight"]))
-
-
-def _take_rows(x: Tensor, rows: Optional[Rows]) -> Tensor:
-    """The token rows of `x` in the (start, stop) ranges `rows`, in order; all of `x` for None."""
-    if rows is None:
-        return x
-    parts = [dc.slice_axis(x, 1, start, stop) for start, stop in rows]
-    return parts[0] if len(parts) == 1 else dc.concat(parts, axis=1)
 
 
 def insert_prompts(tokens: Tensor, layer_index: int, stack: PromptStack) -> Tensor:

@@ -10,7 +10,7 @@ import pytest
 import promptlab.diffcore as dc
 from promptlab.diffcore import Tensor, finite_difference_check
 from promptlab.encoder import EncoderConfig, EncoderState, PromptStack
-from promptlab.errors import DegenerateInputError, DimensionError, EvaluationError
+from promptlab.errors import ConfigError, DegenerateInputError, DimensionError, EvaluationError
 from promptlab.trainer import _forward_features
 
 TRIALS = 100
@@ -96,6 +96,8 @@ def _numpy_operand_calls():
         "softmax": (dc.softmax, (arr,)),
         "layernorm": (dc.layernorm, (arr,)),
         "gelu": (dc.gelu, (arr,)),
+        "attention": (dc.attention, (Tensor(np.ones((1, 2, 2))), t, t, arr, t, 1)),
+        "mlp": (dc.mlp, (Tensor(np.ones((1, 2, 2))), arr, t)),
         "l2_normalize": (dc.l2_normalize, (arr,)),
         "log": (dc.log, (arr,)),
         "clamp_min": (dc.clamp_min, (arr, 0.0)),
@@ -699,6 +701,64 @@ def test_row_op_gradients_match_differences(name, rows):
 def test_row_op_refuses_bad_rows(name, rows):
     with pytest.raises(DimensionError):
         ROW_OPS[name](Tensor(np.zeros((2, 5, 4))), rows)
+
+
+# ---------------------------------------------------------------------------
+# the fused block halves
+# ---------------------------------------------------------------------------
+
+def _block_weights(rng, width=4, hidden=8):
+    """Frozen attention weights (wq, wk, wv, wo) and MLP weights (w1, w2)."""
+    attn = [Tensor(_probe(rng, (width, width)) / 2) for _ in range(4)]
+    return attn, [Tensor(_probe(rng, (width, hidden)) / 2), Tensor(_probe(rng, (hidden, width)) / 3)]
+
+
+# (taken, live) of a (2, 5, 4) input: live counts along the taken rows
+@pytest.mark.parametrize("taken, live", [
+    (None, None), (None, ((0, 1), (3, 5))), (((0, 1), (2, 5)), None), (((1, 4),), ((1, 3),)),
+], ids=["all", "live", "taken", "taken-live"])
+def test_attention_gradients_match_differences(taken, live):
+    rng = np.random.default_rng(zlib.crc32(f"attention{taken}{live}".encode()))
+    rows = 5 if taken is None else sum(stop - start for start, stop in taken)
+    for _ in range(10):
+        attn, _ = _block_weights(rng)
+        w = Tensor(_probe(rng, (2, rows, 4)))
+        report = finite_difference_check(
+            lambda t: dc.tensor_sum(dc.mul(dc.attention(t, *attn, 2, taken, live), w)),
+            _probe(rng, (2, 5, 4)), tolerance=1e-5)
+        assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("live", [None, ((1, 4),), ((0, 1), (3, 5))], ids=["all", "one-range", "two-ranges"])
+def test_mlp_gradients_match_differences(live):
+    rng = np.random.default_rng(zlib.crc32(f"mlp{live}".encode()))
+    for _ in range(10):
+        _, (w1, w2) = _block_weights(rng)
+        w = Tensor(_probe(rng, (2, 5, 4)))
+        report = finite_difference_check(
+            lambda t: dc.tensor_sum(dc.mul(dc.mlp(t, w1, w2, live), w)),
+            _probe(rng, (2, 5, 4)), tolerance=1e-5)
+        assert report.passed, str(report)
+
+
+def test_block_ops_refuse_trainable_weights_and_bad_shapes():
+    rng = np.random.default_rng(3)
+    (wq, wk, wv, wo), (w1, w2) = _block_weights(rng)
+    x = Tensor(_probe(rng, (2, 5, 4)), requires_grad=True)
+    trainable = Tensor(wv.data, requires_grad=True)
+    with pytest.raises(ConfigError, match="^attention takes frozen weights only"):
+        dc.attention(x, wq, wk, trainable, wo, 2)
+    with pytest.raises(ConfigError, match="^mlp takes frozen weights only"):
+        dc.mlp(x, w1, Tensor(w2.data, requires_grad=True))
+    for bad in (lambda: dc.attention(x, wq, wk, wv, wo, 3),
+                lambda: dc.attention(x, wq, wk, wv, w1, 2),
+                lambda: dc.attention(Tensor(x.data[0]), wq, wk, wv, wo, 2),
+                lambda: dc.attention(x, wq, wk, wv, wo, 2, taken=((0, 6),)),
+                lambda: dc.attention(x, wq, wk, wv, wo, 2, taken=((0, 2),), live=((1, 3),)),
+                lambda: dc.mlp(x, w1, w1),
+                lambda: dc.mlp(x, w1, w2, live=((3, 2),))):
+        with pytest.raises(DimensionError):
+            bad()
 
 
 # ---------------------------------------------------------------------------

@@ -487,14 +487,15 @@ def test_prefix_of_no_images_is_empty():
     assert len(prefix) == 0 and prefix.tokens.shape == (0, 2, CFG.width)
 
 
-@pytest.mark.parametrize("batch", [1, 2, 5])
-@pytest.mark.parametrize("strategy, layers", [
+GRAPH_STACKS = pytest.mark.parametrize("strategy, layers", [
     (strategy, layers) for strategy in ("shallow", "deep", "progressive") for layers in ((0, 1), (1, 2), (2,))
 ])
-def test_graph_forward_on_kept_rows_equals_all_rows_bytes(strategy, layers, batch, monkeypatch):
-    # A graph pass runs its row-wise ops only on the rows _kept_rows names,
-    # keeping every product's shape; forcing every row must move no byte of
-    # the features, the loss or any prompt gradient.
+
+
+def _graph_pass(strategy, layers, batch):
+    """An encoder with a trainable stack, its images, and a function that runs
+    a forward, a ``ce_only`` loss and a backward and returns the bytes of the
+    features, the loss and every prompt gradient."""
     alpha = 0.1 if strategy == "progressive" else None
     stack = PromptStack.create(strategy, 3, CFG.width, active_layers=layers, alpha=alpha, seed=4)
     enc = EncoderState.create(CFG, stack)
@@ -510,9 +511,71 @@ def test_graph_forward_on_kept_rows_equals_all_rows_bytes(strategy, layers, batc
         loss.backward()
         return feats.data.tobytes(), loss.data.tobytes(), [t.grad.tobytes() for _, t in stack.parameters()]
 
+    return enc, imgs, run
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5])
+@GRAPH_STACKS
+def test_graph_forward_on_kept_rows_equals_all_rows_bytes(strategy, layers, batch, monkeypatch):
+    # A graph pass runs its row-wise ops only on the rows _kept_rows names,
+    # keeping every product's shape; forcing every row must move no byte of
+    # the features, the loss or any prompt gradient.
+    _, _, run = _graph_pass(strategy, layers, batch)
     kept = run()
     monkeypatch.setattr(EncoderState, "_kept_rows", lambda state, index, seq_len: None)
     assert run() == kept
+
+
+def _take_rows(x, rows):
+    """The token rows of `x` in the (start, stop) ranges `rows`, in order; all of `x` for None."""
+    if rows is None:
+        return x
+    parts = [dc.slice_axis(x, 1, start, stop) for start, stop in rows]
+    return parts[0] if len(parts) == 1 else dc.concat(parts, axis=1)
+
+
+def _composed_block(state, x, index, rows=None):
+    """A block composed of one diffcore op per step, as the encoder ran it
+    before its two fused ops: the reference they must match byte for byte."""
+    cfg, p = state.config, f"backbone.block_{index}"
+    b, h, dh = x.shape[0], cfg.heads, cfg.head_dim
+    taken, live = (None, rows) if state.prompt_stack.requires_grad else (rows, None)
+
+    def proj(src, name):
+        out = dc.matmul(src, state.weights[f"{p}.attn.{name}"])
+        return dc.swapaxes(dc.reshape(out, (b, src.shape[1], h, dh)), 1, 2)
+
+    normed = dc.layernorm(x)
+    q = proj(_take_rows(normed, taken), "wq")
+    k, v = proj(normed, "wk"), proj(normed, "wv")
+    scores = dc.scale(dc.matmul(q, dc.swapaxes(k, 2, 3)), dh ** -0.5)
+    mixed = dc.matmul(dc.softmax(scores, live), v)
+    merged = dc.reshape(dc.swapaxes(mixed, 1, 2), (b, q.shape[2], cfg.width))
+    x = dc.add(_take_rows(x, taken), dc.matmul(merged, state.weights[f"{p}.attn.wo"]))
+    hidden = dc.gelu(dc.matmul(dc.layernorm(x, live), state.weights[f"{p}.mlp.w1"]), live)
+    return dc.add(x, dc.matmul(hidden, state.weights[f"{p}.mlp.w2"]))
+
+
+@pytest.mark.parametrize("kept", [True, False], ids=["kept-rows", "all-rows"])
+@pytest.mark.parametrize("batch", [1, 2, 5])
+@GRAPH_STACKS
+def test_fused_block_equals_composed_block_bytes(strategy, layers, batch, kept, monkeypatch):
+    # The two fused ops make the same calls as the composed tape and sum the
+    # layer norm's three projection gradients in its order, so the features,
+    # the loss and every prompt gradient keep their bytes, as do the features
+    # of a graph-free pass over the same prompts (one that computes only the
+    # rows _kept_rows names, so only with the rule in place).
+    if not kept:
+        monkeypatch.setattr(EncoderState, "_kept_rows", lambda state, index, seq_len: None)
+    enc, imgs, run = _graph_pass(strategy, layers, batch)
+    frozen = EncoderState(CFG, enc.weights, enc.prompt_stack.detached())
+
+    def both():
+        return run(), frozen.forward(imgs).data.tobytes() if kept else None
+
+    fused = both()
+    monkeypatch.setattr(EncoderState, "_block", _composed_block)
+    assert both() == fused
 
 
 # ---------------------------------------------------------------------------

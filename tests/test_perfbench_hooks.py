@@ -133,6 +133,33 @@ def test_tracer_spans_each_backward_and_counts_reached_nodes(monkeypatch):
     assert all(amount > 0 for amount in reached.values())
 
 
+def test_tracer_sees_the_block_kernels_inside_the_fused_ops(monkeypatch):
+    """A block's two fused ops call the kernels through the ``kernels``
+    module, so the tracer's kernel spans count them: GELU in the forward
+    only (the backward recomputes nothing), and the softmax, layer norm and
+    GELU gradients inside each ``diffcore.backward`` span, which reaches a
+    positive node count."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import instrument
+
+    tracer = instrument.Tracer()
+    _tiny_train(instrument.Patcher(), tracer)
+
+    def in_backward(index):
+        while index != -1:
+            if tracer.names[index] == "diffcore.backward":
+                return True
+            index = tracer.parents[index]
+        return False
+
+    placed = {(name, in_backward(i)) for i, name in enumerate(tracer.names) if name.startswith("kernels.")}
+    grads = ("gelu_grad", "softmax_lastaxis_grad", "layernorm_lastaxis_grad")
+    assert {(f"kernels.{name}", True) for name in grads} | {("kernels.gelu", False)} <= placed
+    assert ("kernels.gelu", True) not in placed
+    reached = [amount for _, kind, amount in tracer.events if kind == "reached"]
+    assert reached and all(amount > 0 for amount in reached)
+
+
 def test_evaluate_task_makes_three_eval_feature_calls(monkeypatch):
     """perfbench's eval_pool digest hashes every ``_forward_features`` result
     in order, and its ``eval_images`` counts their lengths. A few-shot

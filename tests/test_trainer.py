@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -563,11 +564,11 @@ def test_evaluate_task_work_budget(bank, monkeypatch, name):
 # b2n_train and fewshot_late shapes.
 TRAIN_BUDGET = {
     "progressive-ref": [
-        {"nodes": 142, "gelu": 7424, "softmax": 2096, "layernorm": 4736},
-        {"nodes": 142, "gelu": 37120, "softmax": 10480, "layernorm": 21888},
-        {"nodes": 142, "gelu": 7424, "softmax": 2096, "layernorm": 4736},
+        {"nodes": 54, "gelu": 7424, "softmax": 2096, "layernorm": 4224},
+        {"nodes": 54, "gelu": 37120, "softmax": 10480, "layernorm": 21120},
+        {"nodes": 54, "gelu": 7424, "softmax": 2096, "layernorm": 4224},
     ],
-    "deep-kd": [{"nodes": 76, "gelu": 1792, "softmax": 536, "layernorm": 2176}] * 3,
+    "deep-kd": [{"nodes": 32, "gelu": 1792, "softmax": 536, "layernorm": 1664}] * 3,
 }
 TRAIN_RUNS = {
     "progressive-ref": dict(depth_range=(1, 4), batch_size=4),
@@ -610,6 +611,36 @@ def test_train_step_work_budget(bank, monkeypatch, name):
     monkeypatch.setattr(SGD, "step", counted_step)
     train(task, EncoderState.create(replace(ENC_CFG, depth=4)), bank, config, seed=0)
     assert windows[1:] == TRAIN_BUDGET[name]
+
+
+# Peak tracemalloc bytes, in KiB, of each window between SGD.step calls of the
+# TRAIN_RUNS runs: mostly the step's graph, held through its backward. With two
+# nodes per transformer block that keep only what their backward reads, the
+# peaks are 562 and 269 KiB; a graph of one node per composed op peaks at 1217
+# and 640 KiB.
+TRAIN_PEAK_KIB = {"progressive-ref": 590, "deep-kd": 285}
+
+
+@pytest.mark.parametrize("name", sorted(TRAIN_PEAK_KIB))
+def test_train_step_memory_budget(bank, monkeypatch, name):
+    config = _short_config(max_epochs=2, **TRAIN_RUNS[name])
+    task = _episode(shots=config.shots, mode=config.mode)
+    encoder = EncoderState.create(replace(ENC_CFG, depth=4))
+    peaks, step = [], SGD.step
+
+    def measured_step(optimizer, *args, **kwargs):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return step(optimizer, *args, **kwargs)
+
+    monkeypatch.setattr(SGD, "step", measured_step)
+    tracemalloc.start()
+    try:
+        train(task, encoder, bank, config, seed=0)
+    finally:
+        tracemalloc.stop()
+    # the first window holds the run's set-up as well
+    assert len(peaks) == 4 and max(peaks[1:]) <= TRAIN_PEAK_KIB[name] * 1024, peaks
 
 
 @pytest.mark.parametrize("mode, empty_novel", [
