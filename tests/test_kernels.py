@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -214,13 +215,72 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
+def _run_fresh(code):
+    """stdout of code run in a fresh interpreter that imports this promptlab,
+    with no malloc settings from the environment."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(promptlab.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return done.stdout
+
+
 @pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
 def test_freed_arrays_keep_their_heap_pages():
     """Arrays freed and allocated again reuse their heap pages: without the
     package's heap setting glibc trims the freed 16 MiB and each cycle faults
     about 4000 pages back in."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
-    env["PYTHONPATH"] = os.pathsep.join([str(Path(promptlab.__file__).parents[1]), env.get("PYTHONPATH", "")])
-    done = subprocess.run([sys.executable, "-c", _HEAP_CYCLES], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert int(done.stdout) < 64
+    assert int(_run_fresh(_HEAP_CYCLES)) < 64
+
+
+def test_import_leaves_scipy_special_unloaded():
+    """GELU's erf comes from its extension module alone; scipy.special's init
+    (and the array-API shim that pulls in numpy.f2py) never runs."""
+    loaded = _run_fresh(
+        "import sys\n"
+        "import promptlab.cli\n"
+        "print(sorted({'scipy.special', 'scipy._lib._array_api', 'numpy.f2py'} & set(sys.modules)))\n"
+    )
+    assert loaded.strip() == "[]"
+
+
+_SAME_ERF = """
+import sys
+import numpy as np
+{first}
+extension = sys.modules["scipy.special._special_ufuncs"]
+{second}
+from scipy.special import erf
+from promptlab import kernels
+
+x = np.linspace(-6.0, 6.0, 2001)
+y, t = kernels.gelu(x)
+print(kernels._erf is erf)
+print(sys.modules["scipy.special._special_ufuncs"] is extension)
+print(y.tobytes() == (0.5 * x * (1.0 + erf(x * 0.7071067811865476))).tobytes())
+print(t.tobytes() == (1.0 + erf(x * 0.7071067811865476)).tobytes())
+"""
+
+
+@pytest.mark.parametrize("first, second", [("import promptlab.kernels", "import scipy.special"),
+                                           ("import scipy.special", "import promptlab.kernels")])
+def test_erf_is_scipy_special_erf_in_either_import_order(first, second):
+    """Both imports share one registered extension module and one erf ufunc,
+    and GELU's bytes are those of the erf formula."""
+    out = _run_fresh(_SAME_ERF.format(first=first, second=second))
+    assert out.split() == ["True"] * 4
+
+
+def test_erf_loader_reuses_an_imported_extension(tmp_path):
+    assert kernels._load_erf(str(tmp_path)) is kernels._erf is erf
+
+
+def test_erf_loader_falls_back_to_scipy_special_without_the_extension(tmp_path, monkeypatch):
+    monkeypatch.delitem(sys.modules, kernels._ERF_MODULE)
+    assert kernels._load_erf(str(tmp_path)) is erf
+    assert kernels._ERF_MODULE not in sys.modules
+
+
+def test_erf_loader_falls_back_to_scipy_special_when_the_extension_has_no_erf(tmp_path, monkeypatch):
+    monkeypatch.setitem(sys.modules, kernels._ERF_MODULE, types.ModuleType(kernels._ERF_MODULE))
+    assert kernels._load_erf(str(tmp_path)) is erf
