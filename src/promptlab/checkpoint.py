@@ -1,9 +1,11 @@
-"""Flat key-to-tensor container files.
+"""Key-to-tensor container files with a JSON header: every binary file the program writes.
 
 Layout, all little-endian:
 
     magic  b"PLTC"
-    u32    format version (currently 1)
+    u32    format version (currently 2)
+    u32    header length in bytes
+    bytes  header: a JSON object, utf-8, keys sorted
     u32    entry count
     entry* :
         u16      key length in bytes
@@ -12,45 +14,53 @@ Layout, all little-endian:
         u32*rank shape extents
         f64*     row-major payload
 
-Keys are namespaced by convention: ``backbone.*`` for frozen encoder
-weights, ``prompts.layer_<i>`` for prompt tensors. Round-trips are exact;
-parse failures report the byte offset where the file stopped making sense.
+The header says what the file is (``"kind"``) and what produced it. Version 1
+files, which had no header, are refused. Round-trips are exact; parse
+failures report the byte offset where the file stopped making sense.
 """
 
+import json
 import math
 import struct
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
 from .errors import CheckpointError
 
 MAGIC = b"PLTC"
-VERSION = 1
+VERSION = 2
+# The first line of the text-headed dataset format that version 2 replaced.
+_RETIRED_DATASET = b"promptlab-dataset v1\n"
 
 __all__ = ["save_tensors", "load_tensors", "MAGIC", "VERSION"]
 
 
-def save_tensors(path, tensors: Dict[str, np.ndarray]) -> None:
-    """Write a key→array mapping; arrays are stored as float64.
+def save_tensors(path, tensors: Dict[str, np.ndarray], header: dict) -> None:
+    """Write a key→array mapping, stored as float64, under a JSON object `header`.
 
-    Every key is checked before `path` is opened, so a refused mapping
-    leaves an existing file as it was.
+    Every key, value and the header are checked and encoded before `path`
+    is opened, so a refused mapping leaves an existing file as it was.
     """
-    raw_keys = [key.encode("utf-8") for key in tensors]
-    for key, raw_key in zip(tensors, raw_keys):
-        if len(raw_key) > 0xFFFF:
-            raise CheckpointError(f"key too long to store: {key[:40]}...")
+    try:
+        raw_header = json.dumps(dict(header), sort_keys=True, allow_nan=False).encode("utf-8")
+        entries = [(key.encode("utf-8"), np.asarray(value, dtype="<f8"))
+                   for key, value in tensors.items()]
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"cannot store this header or tensor: {exc}") from exc
+    for raw_key, arr in entries:
+        if len(raw_key) > 0xFFFF or arr.ndim > 0xFF or max(arr.shape, default=0) >= 2**32:
+            raise CheckpointError(f"key or shape too long to store: {raw_key[:40]!r}, {arr.shape}")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(tensors)))
-        for raw_key, value in zip(raw_keys, tensors.values()):
-            arr = np.ascontiguousarray(value, dtype=np.float64)
+        fh.write(struct.pack("<II", VERSION, len(raw_header)))
+        fh.write(raw_header)
+        fh.write(struct.pack("<I", len(entries)))
+        for raw_key, arr in entries:
             fh.write(struct.pack("<H", len(raw_key)))
             fh.write(raw_key)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f8", copy=False).tobytes())
+            fh.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+            fh.write(arr.tobytes())
 
 
 class _Reader:
@@ -73,16 +83,32 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
 
-def load_tensors(path) -> Dict[str, np.ndarray]:
-    """Read a container written by :func:`save_tensors`."""
+def load_tensors(path) -> Tuple[Dict[str, np.ndarray], dict]:
+    """Read a container written by :func:`save_tensors`: (key→array mapping, header)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     reader = _Reader(blob)
     if reader.take(4, "magic") != MAGIC:
+        if blob.startswith(_RETIRED_DATASET):
+            raise CheckpointError("a promptlab-dataset v1 file, a format no longer read; rerun "
+                                  "`promptlab make-data` with the spec and seed its header states")
         raise CheckpointError(f"not a tensor container (bad magic at offset 0): {path}")
-    version, count = reader.unpack("<II", "header")
+    (version,) = reader.unpack("<I", "version")
+    if version == 1:
+        raise CheckpointError("a version 1 container, a format no longer read; rerun "
+                              "`promptlab train --checkpoint` with the flags that wrote it")
     if version != VERSION:
         raise CheckpointError(f"unsupported container version {version} at offset 4")
+    (length,) = reader.unpack("<I", "header length")
+    start = reader.offset
+    raw = reader.take(length, "header")
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # undecodable bytes or not JSON
+        raise CheckpointError(f"header at offset {start} is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"header at offset {start} is not a JSON object")
+    (count,) = reader.unpack("<I", "entry count")
     out: Dict[str, np.ndarray] = {}
     for index in range(count):
         (key_len,) = reader.unpack("<H", f"key length of entry {index}")
@@ -102,4 +128,4 @@ def load_tensors(path) -> Dict[str, np.ndarray]:
         raise CheckpointError(
             f"trailing garbage: {len(blob) - reader.offset} bytes after offset {reader.offset}"
         )
-    return out
+    return out, header

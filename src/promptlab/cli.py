@@ -22,8 +22,8 @@ from . import diffcore as dc
 from .checkpoint import load_tensors, save_tensors
 from .data import SyntheticTaskSpec, generate_dataset, sample_k_shot, save_dataset
 from .diffcore import finite_difference_check
-from .encoder import EncoderConfig, EncoderState, PromptStack, count_trainable_params
-from .errors import ConfigError, PromptLabError
+from .encoder import EncoderConfig, EncoderState, PromptStack, backbone_checksum, count_trainable_params
+from .errors import CheckpointError, ConfigError, PromptLabError
 from .evaluate import TABLE_FORMATS, EvalReport, aggregate_seeds, emit_table, export_embeddings
 from .heads import LOSS_MODES, ClassEmbeddingBank, step_loss
 from .trainer import (
@@ -67,9 +67,11 @@ def _add_world_flags(parser):
     parser.add_argument("--max-cosine", type=float, default=0.5)
 
 
-def _build_train_config(args) -> TrainConfig:
-    overrides = {key: getattr(args, key) for key in _CONFIG_KEYS
-                 if getattr(args, key) is not None}
+def _build_train_config(args, stated=None) -> TrainConfig:
+    """The layered config; `stated`, the keys a checkpoint states, ranks just below the flags."""
+    overrides = {key: value for key, value in (stated or {}).items() if value is not None}
+    overrides.update({key: getattr(args, key) for key in _CONFIG_KEYS
+                      if getattr(args, key) is not None})
     if getattr(args, "seed", None) is not None:
         overrides["seeds"] = args.seed  # --seed wins over --seeds
     return load_config(args.config if args.config not in (None, "default") else None,
@@ -150,23 +152,41 @@ def cmd_train(args) -> int:
         save_records(args.records, records)
         print(f"records: {args.records}")
     if args.checkpoint:
-        save_tensors(args.checkpoint, records[0].prompt_state)
+        header = {"kind": "prompts", "stack": _stack(config), "seed": records[0].seed,
+                  "encoder": dataclasses.asdict(encoder.config), "backbone_checksum": backbone_checksum(encoder)}
+        save_tensors(args.checkpoint, records[0].prompt_state, header)
         print(f"checkpoint: {args.checkpoint} (seed {records[0].seed})")
     _write_table(args, [serialized])
     return 0
 
 
+def _stack(config: TrainConfig) -> dict:
+    """The config keys that shape a prompt stack, as a checkpoint's header states them."""
+    return {key: value for key, value in config.coordinates().items()
+            if key in ("strategy", "m", "alpha", "depth_range")}
+
+
 def _checkpointed_setup(args):
     """(config, prompted encoder state, seed, dataset) for eval-style commands.
 
-    The state's stack is built from --checkpoint when one is given, and
-    otherwise seeded like the one `train` would build for `seed`.
+    Without --checkpoint the stack is seeded like the one `train` would build for
+    `seed`. A checkpoint's stated stack and seed rank just below the flags, and
+    the result must be that stack and seed on that backbone.
     """
-    config = _build_train_config(args)
+    tensors, header = load_tensors(args.checkpoint) if args.checkpoint else ({}, {})
+    if args.checkpoint and (header.get("kind") != "prompts" or not isinstance(header.get("stack"), dict)):
+        raise CheckpointError(f"{args.checkpoint} is not a prompt checkpoint: {header.get('kind')!r}")
+    config = _build_train_config(args, {**header.get("stack", {}), "seeds": header.get("seed")})
     encoder = _encoder(args)
     seed = config.seeds[0]
+    if args.checkpoint and (header.get("encoder"), header.get("backbone_checksum")) != (
+            dataclasses.asdict(encoder.config), backbone_checksum(encoder)):
+        raise CheckpointError(f"{args.checkpoint} was trained on another backbone: {header.get('encoder')}")
+    if args.checkpoint and (_stack(config), seed) != (header["stack"], header.get("seed")):
+        raise CheckpointError(f"{args.checkpoint} holds {sorted(tensors)} of the seed {header.get('seed')} "
+                              f"stack {header['stack']}; the flags make it seed {seed}, {_stack(config)}")
     stack = (PromptStack.from_state_dict(config.strategy, config.prompt_length, config.active_layers(),
-                                         config.alpha, load_tensors(args.checkpoint))
+                                         config.alpha, tensors)
              if args.checkpoint else config.prompt_stack(encoder.config.width, seed))
     state = EncoderState(encoder.config, encoder.weights, stack)
     return config, state, seed, generate_dataset(_task_spec(args), seed)

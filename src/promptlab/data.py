@@ -13,12 +13,13 @@ shift knob never changes the base-class prototypes.
 """
 
 import warnings
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from dataclasses import asdict, dataclass, fields
+from typing import Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .checkpoint import load_tensors, save_tensors
+from .errors import CheckpointError, ConfigError, DataError
 
 SHOT_CHOICES = (1, 2, 4, 8, 16)
 MODES = ("few_shot", "base_to_novel")
@@ -237,99 +238,51 @@ def sample_k_shot(store: SampleStore, k: int, seed, mode: str = "few_shot") -> F
 
 
 # ---------------------------------------------------------------------------
-# persistence: text header + raw binary block
+# persistence: a tensor container of kind "dataset"
 # ---------------------------------------------------------------------------
 
-_HEADER_END = b"---\n"
-_FORMAT_LINE = "promptlab-dataset v1"
-
-
 def save_dataset(path, store: SampleStore) -> None:
-    """Text header (spec and split) followed by the raw sample block."""
-    spec = store.spec
-    lines = [
-        _FORMAT_LINE,
-        f"class_count={spec.class_count}",
-        f"patch_count={spec.patch_count}",
-        f"patch_dim={spec.patch_dim}",
-        f"noise_std={spec.noise_std!r}",
-        f"shift_magnitude={spec.shift_magnitude!r}",
-        f"samples_per_class={spec.samples_per_class}",
-        f"prototype_seed={spec.prototype_seed}",
-        f"seed={store.seed}",
-        "base=" + ",".join(str(c) for c in store.split.base),
-        "novel=" + ",".join(str(c) for c in store.split.novel),
-        f"samples={len(store.ids)}",
-    ]
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        fh.write(_HEADER_END)
-        fh.write(store.samples.astype("<f8", copy=False).tobytes())
-        fh.write(store.labels.astype("<i8", copy=False).tobytes())
-        fh.write(store.ids.astype("<i8", copy=False).tobytes())
-        fh.write(store.prototypes.astype("<f8", copy=False).tobytes())
+    """The store's arrays, as float64, in a tensor container whose header states spec, seed and split."""
+    header = {"kind": "dataset", "spec": asdict(store.spec), "seed": store.seed,
+              "split": {"base": list(store.split.base), "novel": list(store.split.novel)}}
+    save_tensors(path, {"samples": store.samples, "labels": store.labels, "ids": store.ids,
+                        "prototypes": store.prototypes}, header)
 
 
 def load_dataset(path) -> SampleStore:
     """Read a :func:`save_dataset` file; a malformed or inconsistent one raises DataError."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    marker = blob.find(_HEADER_END)
-    if marker < 0:
-        raise DataError(f"{path}: missing header terminator {_HEADER_END!r}")
-    header_lines = blob[:marker].decode("ascii").splitlines()
-    if not header_lines or header_lines[0] != _FORMAT_LINE:
-        raise DataError(f"{path}: not a dataset file (first line {header_lines[:1]!r})")
-    fields: Dict[str, str] = {}
-    for lineno, line in enumerate(header_lines[1:], start=2):
-        if "=" not in line:
-            raise DataError(f"{path}: malformed header line {lineno}: {line!r}")
-        key, _, value = line.partition("=")
-        fields[key] = value
     try:
-        spec = SyntheticTaskSpec(
-            class_count=int(fields["class_count"]),
-            patch_count=int(fields["patch_count"]),
-            patch_dim=int(fields["patch_dim"]),
-            noise_std=float(fields["noise_std"]),
-            shift_magnitude=float(fields["shift_magnitude"]),
-            samples_per_class=int(fields["samples_per_class"]),
-            prototype_seed=int(fields["prototype_seed"]),
-        )
-        seed = int(fields["seed"])
-        base = tuple(int(c) for c in fields["base"].split(",") if c != "")
-        novel = tuple(int(c) for c in fields["novel"].split(",") if c != "")
-        count = int(fields["samples"])
-    except KeyError as exc:
-        raise DataError(f"{path}: header is missing {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: unparseable header value: {exc}") from exc
+        arrays, header = load_tensors(path)
+    except CheckpointError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    if header.get("kind") != "dataset":
+        raise DataError(f"{path}: not a dataset file (kind {header.get('kind')!r})")
+    try:
+        spec = SyntheticTaskSpec(**header["spec"])
+        seed, base, novel = (header["seed"], tuple(header["split"]["base"]),
+                             tuple(header["split"]["novel"]))
+        typed = [(field.type, header["spec"][field.name]) for field in fields(spec)]
+    except (KeyError, TypeError, ConfigError) as exc:
+        raise DataError(f"{path}: unusable header {header}: {exc!r}") from exc
+    if any(type(v) is not kind and (kind, type(v)) != (float, int)
+           for kind, v in typed + [(int, c) for c in (seed, *base, *novel)]):
+        raise DataError(f"{path}: header values of the wrong type: {header}")
 
-    body = blob[marker + len(_HEADER_END):]
     n_p, p_dim, c = spec.patch_count, spec.patch_dim, spec.class_count
-    sizes = (count * n_p * p_dim * 8, count * 8, count * 8, c * n_p * p_dim * 8)
-    if len(body) != sum(sizes):
-        raise DataError(
-            f"{path}: body has {len(body)} bytes, expected {sum(sizes)} "
-            f"for {count} samples at offset {marker + len(_HEADER_END)}"
-        )
-    cuts = np.cumsum((0,) + sizes)
-    samples = np.frombuffer(body[cuts[0]:cuts[1]], dtype="<f8").reshape(count, n_p, p_dim)
-    labels = np.frombuffer(body[cuts[1]:cuts[2]], dtype="<i8")
-    ids = np.frombuffer(body[cuts[2]:cuts[3]], dtype="<i8")
-    prototypes = np.frombuffer(body[cuts[3]:cuts[4]], dtype="<f8").reshape(c, n_p, p_dim)
+    count = arrays.get("samples", np.empty(())).shape[:1]
+    shapes = {"samples": count + (n_p, p_dim), "labels": count, "ids": count,
+              "prototypes": (c, n_p, p_dim)}
+    if {name: arr.shape for name, arr in arrays.items()} != shapes:
+        raise DataError(f"{path}: tensors {sorted(arrays)} do not have the shapes {shapes}")
+    labels, ids = arrays["labels"], arrays["ids"]
+    if not all(np.all(np.abs(a) < 2.0**53) and np.array_equal(a, np.trunc(a)) for a in (labels, ids)):
+        raise DataError(f"{path}: labels and sample ids must be whole numbers below 2**53")
+    labels, ids = labels.astype(np.int64), ids.astype(np.int64)
     if sorted(base + novel) != list(range(c)):
         raise DataError(f"{path}: base {base} and novel {novel} do not partition {c} classes")
     if np.any((labels < 0) | (labels >= c)):
         raise DataError(f"{path}: labels must lie in [0, {c}), got [{labels.min()}, {labels.max()}]")
     if np.any(np.diff(ids) <= 0):
         raise DataError(f"{path}: sample ids must be strictly increasing")
-    return SampleStore(
-        spec=spec,
-        seed=seed,
-        samples=samples.astype(np.float64),
-        labels=labels.astype(np.int64),
-        ids=ids.astype(np.int64),
-        prototypes=prototypes.astype(np.float64),
-        split=BaseNovelSplit(base=base, novel=novel),
-    )
+    return SampleStore(spec=spec, seed=seed, samples=arrays["samples"], labels=labels, ids=ids,
+                       prototypes=arrays["prototypes"], split=BaseNovelSplit(base=base, novel=novel))

@@ -1,14 +1,15 @@
 import re
-from dataclasses import fields, replace
+import struct
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from promptlab.checkpoint import load_tensors, save_tensors
+from promptlab.checkpoint import MAGIC, load_tensors, save_tensors
 from promptlab.cli import _build_train_config, _encoder, _task_spec, build_parser, main, run_grad_check
 from promptlab.data import SyntheticTaskSpec, load_dataset
-from promptlab.encoder import EncoderConfig, EncoderState
+from promptlab.encoder import EncoderConfig, EncoderState, backbone_checksum
 from promptlab.evaluate import parse_table
 from promptlab.trainer import _CONFIG_KEYS, ENV_PREFIX, TrainConfig, load_records
 
@@ -159,9 +160,17 @@ def test_train_writes_all_artifacts(tmp_path, capsys):
     assert [r["seed"] for r in loaded] == [0, 1]
     assert len({step["lr"] for step in loaded[0]["steps"]}) == 2  # cosine decays
 
-    prompts = load_tensors(checkpoint)
+    prompts, header = load_tensors(checkpoint)
     assert set(prompts) == {"prompts.layer_0"}
     assert prompts["prompts.layer_0"].shape == (2, 16)
+    encoder = _encoder(build_parser().parse_args(["train", *TRAIN]))
+    assert header == {
+        "kind": "prompts",
+        "stack": {"strategy": "progressive", "m": 2, "alpha": 0.1, "depth_range": "1..1"},
+        "seed": 0,
+        "encoder": asdict(encoder.config),
+        "backbone_checksum": backbone_checksum(encoder),
+    }
 
     rows = parse_table(table.read_bytes().decode(), format="csv")
     assert len(rows) == 1
@@ -188,6 +197,104 @@ def test_eval_with_checkpoint_matches_train_metrics(tmp_path):
     evaluated = parse_table(table_eval.read_bytes().decode(), format="csv")[0]
     for column in ("base", "novel", "h", "params"):
         assert evaluated[column] == trained[column]
+
+
+def _train_table(tmp_path, world, stack, seed="0"):
+    """(checkpoint, the one table row `train` wrote) for one `seed` run of `stack` on `world`."""
+    checkpoint, table = tmp_path / "prompts.bin", tmp_path / "train.csv"
+    assert main(["train", *world, *stack, "--shots", "2", "--epochs", "1", "--seed", seed,
+                 "--checkpoint", str(checkpoint), "--table", str(table)]) == 0
+    return checkpoint, parse_table(table.read_bytes().decode(), format="csv")[0]
+
+
+@pytest.mark.parametrize("stack", [
+    ["--strategy", "deep", "--m", "2", "--depth-range", "1..2"],
+    ["--strategy", "progressive", "--m", "3", "--alpha", "0.3", "--depth-range", "2..2"],
+    ["--strategy", "shallow", "--m", "1", "--depth-range", "2..2"],
+    ["--strategy", "none"],
+], ids=["deep", "progressive", "shallow", "none"])
+def test_eval_takes_the_stack_from_the_checkpoint(stack, tmp_path, monkeypatch, capsys):
+    world = [*WORLD, "--depth", "2"]
+    checkpoint, trained = _train_table(tmp_path, world, stack)
+    monkeypatch.setenv("PROMPTLAB_STRATEGY", "shallow")  # the checkpoint ranks above it
+    monkeypatch.setenv("PROMPTLAB_M", "5")
+    table = tmp_path / "eval.csv"
+    assert main(["eval", *world, "--shots", "2", "--seed", "0", "--checkpoint", str(checkpoint),
+                 "--table", str(table)]) == 0
+    assert parse_table(table.read_bytes().decode(), format="csv") == [trained]
+
+
+def test_eval_takes_the_seed_from_the_checkpoint(tmp_path, monkeypatch):
+    world = [*WORLD, "--depth", "2"]
+    checkpoint, trained = _train_table(tmp_path, world, ["--strategy", "deep", "--m", "2",
+                                                         "--depth-range", "1..2"], seed="1")
+    monkeypatch.setenv("PROMPTLAB_SEEDS", "2")  # the checkpoint ranks above it
+    table = tmp_path / "eval.csv"
+    assert main(["eval", *world, "--shots", "2", "--checkpoint", str(checkpoint),
+                 "--table", str(table)]) == 0
+    assert parse_table(table.read_bytes().decode(), format="csv") == [trained]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--encoder-seed", "5"],
+    ["--strategy", "progressive", "--alpha", "0.5"],
+    ["--m", "3"],
+    ["--depth-range", "2..2"],
+    ["--width", "8"],
+    ["--heads", "4"],
+    ["--seed", "1"],
+], ids=["other-backbone", "other-strategy", "other-m", "other-range", "other-width", "other-heads",
+        "other-seed"])
+@pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+def test_checkpoint_contradicted_by_flags_exits_one(command, flags, tmp_path, capsys):
+    world = [*WORLD, "--depth", "2"]
+    stack = ["--strategy", "deep", "--m", "2", "--depth-range", "1..2"]
+    checkpoint, _ = _train_table(tmp_path, world, stack)
+    capsys.readouterr()
+    out = tmp_path / "emb.tsv"
+    extra = ["--out", str(out)] if command == "export-embeddings" else []
+    assert main([command, *world, *stack, "--seed", "0", *flags, "--shots", "2",
+                 "--checkpoint", str(checkpoint), *extra]) == 1
+    captured = capsys.readouterr()
+    assert "CheckpointError" in captured.err and "accuracy" not in captured.out
+    assert not out.exists()
+
+
+def test_export_embeddings_takes_the_stack_from_the_checkpoint(tmp_path):
+    world = [*WORLD, "--depth", "2"]
+    stack = ["--strategy", "deep", "--m", "2", "--depth-range", "1..2"]
+    checkpoint, _ = _train_table(tmp_path, world, stack)
+    stated, bare = tmp_path / "stated.tsv", tmp_path / "bare.tsv"
+    for out, flags in ((stated, stack), (bare, [])):
+        assert main(["export-embeddings", *world, *flags, "--seed", "0", "--limit", "6",
+                     "--checkpoint", str(checkpoint), "--out", str(out)]) == 0
+    assert bare.read_bytes() == stated.read_bytes()
+
+
+def test_eval_refuses_a_version_1_checkpoint(tmp_path, capsys):
+    world = [*WORLD, "--depth", "2"]
+    stack = ["--strategy", "deep", "--m", "2", "--depth-range", "1..2"]
+    checkpoint, _ = _train_table(tmp_path, world, stack)
+    prompts, _ = load_tensors(checkpoint)
+    entries = b"".join(struct.pack("<H", len(name)) + name.encode() + struct.pack("<B2I", 2, *v.shape)
+                       + v.tobytes() for name, v in prompts.items())
+    checkpoint.write_bytes(MAGIC + struct.pack("<II", 1, len(prompts)) + entries)
+    capsys.readouterr()
+    assert main(["eval", *world, *stack, "--shots", "2", "--seed", "0",
+                 "--checkpoint", str(checkpoint)]) == 1
+    captured = capsys.readouterr()
+    assert "CheckpointError" in captured.err and "promptlab train --checkpoint" in captured.err
+    assert "accuracy" not in captured.out
+
+
+def test_eval_refuses_a_dataset_as_checkpoint(tmp_path, capsys):
+    dataset = tmp_path / "data.bin"
+    assert main(["make-data", *WORLD, "--seed", "0", "--out", str(dataset)]) == 0
+    capsys.readouterr()
+    assert main(["eval", *TRAIN, "--seed", "0", "--checkpoint", str(dataset)]) == 1
+    captured = capsys.readouterr()
+    assert "CheckpointError" in captured.err and "'dataset'" in captured.err
+    assert "accuracy" not in captured.out
 
 
 def test_eval_rejects_checkpoint_from_other_strategy(tmp_path, capsys):
@@ -374,8 +481,8 @@ def test_eval_rejects_non_finite_checkpoint(tmp_path, capsys):
     checkpoint = tmp_path / "prompts.bin"
     assert main(["train", *TRAIN, "--seed", "0", "--epochs", "1",
                  "--checkpoint", str(checkpoint)]) == 0
-    prompts = load_tensors(checkpoint)
-    save_tensors(checkpoint, {name: np.full_like(v, np.nan) for name, v in prompts.items()})
+    prompts, header = load_tensors(checkpoint)
+    save_tensors(checkpoint, {name: np.full_like(v, np.nan) for name, v in prompts.items()}, header)
     capsys.readouterr()
     assert main(["eval", *TRAIN, "--seed", "0", "--checkpoint", str(checkpoint)]) == 1
     captured = capsys.readouterr()

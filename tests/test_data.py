@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from promptlab import data
+from promptlab.checkpoint import load_tensors, save_tensors
 from promptlab.errors import ConfigError, DataError
 
 
@@ -189,7 +190,7 @@ def test_dataset_roundtrip_is_exact(tmp_path):
 def test_dataset_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.plds"
     path.write_bytes(b"not a dataset at all")
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="offset 0"):
         data.load_dataset(path)
 
 
@@ -199,17 +200,68 @@ def test_dataset_load_rejects_truncated_body(tmp_path):
     data.save_dataset(path, store)
     blob = path.read_bytes()
     path.write_bytes(blob[:-16])
-    with pytest.raises(DataError, match="bytes"):
+    with pytest.raises(DataError, match="bytes.*prototypes.*offset"):
         data.load_dataset(path)
 
 
-def test_dataset_load_rejects_bad_header_line(tmp_path):
-    store = data.generate_dataset(_spec(), seed=8)
+def _saved_header(tmp_path):
     path = tmp_path / "hdr.plds"
-    data.save_dataset(path, store)
-    blob = path.read_bytes()
-    path.write_bytes(blob.replace(b"patch_dim=5", b"patch_dim five", 1))
-    with pytest.raises(DataError):
+    data.save_dataset(path, data.generate_dataset(_spec(), seed=8))
+    return path, path.read_bytes()
+
+
+def test_dataset_load_rejects_bad_header_line(tmp_path):
+    path, blob = _saved_header(tmp_path)
+    path.write_bytes(blob.replace(b'"patch_dim": 5', b'"patch_dim": x', 1))
+    with pytest.raises(DataError, match="header at offset 12 is not UTF-8 JSON"):
+        data.load_dataset(path)
+
+
+def test_dataset_load_rejects_non_utf8_header(tmp_path):
+    path, blob = _saved_header(tmp_path)
+    path.write_bytes(blob.replace(b'"kind"', b'"\xffind"', 1))
+    with pytest.raises(DataError, match="header at offset 12 is not UTF-8 JSON"):
+        data.load_dataset(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h["spec"].update(patch_dim="five"),
+    lambda h: h["spec"].update(class_count=4.0),
+    lambda h: h["spec"].update(patch_count=True),
+    lambda h: h["spec"].update(noise_std=-1.0),
+    lambda h: h["spec"].update(colour="blue"),
+    lambda h: h["spec"].pop("patch_dim"),
+    lambda h: h.update(spec=[4, 3, 5]),
+    lambda h: h.update(seed="8"),
+    lambda h: h.pop("seed"),
+    lambda h: h["split"].update(base="0,1"),
+    lambda h: h.update(split=None),
+], ids=["text-field", "float-count", "bool-count", "negative-noise", "unknown-field",
+        "missing-field", "spec-list", "text-seed", "no-seed", "text-split", "null-split"])
+def test_dataset_load_rejects_a_malformed_header(edit, tmp_path):
+    path, _ = _saved_header(tmp_path)
+    arrays, header = load_tensors(path)
+    edit(header)
+    save_tensors(path, arrays, header)
+    with pytest.raises(DataError, match="header"):
+        data.load_dataset(path)
+
+
+def test_dataset_load_names_make_data_for_the_retired_format(tmp_path):
+    path = tmp_path / "old.plds"
+    path.write_bytes(b"promptlab-dataset v1\nclass_count=4\nseed=3\n---\n" + bytes(64))
+    with pytest.raises(DataError, match="promptlab make-data"):
+        data.load_dataset(path)
+
+
+@pytest.mark.parametrize("header", [
+    {"kind": "prompts", "stack": {"alpha": None, "depth_range": "1..1", "m": 2, "strategy": "deep"}},
+    {},
+], ids=["prompt-checkpoint", "no-kind"])
+def test_dataset_load_refuses_a_file_of_another_kind(header, tmp_path):
+    path = tmp_path / "prompts.bin"
+    save_tensors(path, {"prompts.layer_0": np.ones((2, 16))}, header)
+    with pytest.raises(DataError, match="not a dataset file"):
         data.load_dataset(path)
 
 
@@ -227,8 +279,15 @@ def _swap_pairs(ids):
     ("ids", _swap_pairs, "increasing"),
     ("ids", lambda ids: ids[::-1].copy(), "increasing"),
     ("ids", lambda ids: np.zeros_like(ids), "increasing"),
+    ("labels", lambda labels: labels + 0.5, "whole numbers"),
+    ("ids", lambda ids: ids + 2.0**53, "whole numbers"),
+    ("ids", lambda ids: np.where(ids == 3, np.nan, ids), "whole numbers"),
+    ("samples", lambda samples: samples[:-1], "shapes"),
+    ("prototypes", lambda prototypes: prototypes[:, :-1], "shapes"),
+    ("labels", lambda labels: labels[:, None], "shapes"),
 ], ids=["overlapping-split", "incomplete-split", "label-past-classes", "negative-label",
-        "swapped-ids", "reversed-ids", "repeated-ids"])
+        "swapped-ids", "reversed-ids", "repeated-ids", "fractional-label", "huge-id", "nan-id",
+        "short-samples", "narrow-prototypes", "2d-labels"])
 def test_dataset_load_rejects_inconsistent_contents(field, value, message, tmp_path):
     store = data.generate_dataset(_spec(), seed=8)
     if callable(value):

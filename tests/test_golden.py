@@ -26,7 +26,7 @@ TRAIN = [
 ]
 
 RECORDS_SHA256 = "ea2b21f1378b0ec183d61668eac0e7d6bd4859c84833a1f1b03962be56a03860"
-CHECKPOINT_SHA256 = "7f3da1c2027080b22d3726f2f19056810ca31080779032bd1948ac34a87b3c20"
+CHECKPOINT_SHA256 = "6bb0a50477e0f6f4399207eebeaec6d95ff68fed50a84743370151b79bd4cf0c"
 
 
 def _sha256(path):

@@ -31,47 +31,47 @@ TRAIN = ["--m", "2", "--shots", "2", "--epochs", "2", "--lr", "0.1", "--seed", "
 
 RUNS = {
     ("shallow", "ce_only", "1..2"):
-        "d4f94c1c4cef079561fc318d722856e2f78ab87b25ac9c2d8bfb3ad7fc4f96a4",
+        "6d41c402eb8d3779ce5dd3577cecce0abae82fa93f0a77b33c2fea5f0d3e5bb3",
     ("shallow", "ce_only", "2..3"):
-        "7eb9d9a2027a17a636cd70447dc9e08c878cca8dab360988cede80ec533c587e",
+        "3861dd12421750ce39300742435371bd23fef44b03140fd4c030d92b7461d049",
     ("shallow", "ref", "1..2"):
-        "030598182f7881c8573ceb765b3a54cc71438db63394dfe9f9084effaaa4b802",
+        "a04d36d8343f18b54d90d873fb9a79ece29ebb30c32e620954d3eddcd126a226",
     ("shallow", "ref", "2..3"):
-        "6c7ee7a8c55f8adb91a8c1e68e53a76f0fe10f4a8102975f47e56421fbab8e97",
+        "975cf603d990442f3c8b75d1f16561d13b26fdc156c946f314325521654efe18",
     ("shallow", "kd", "1..2"):
-        "4ce3ee6eee04b6b00779d453fdae2da27c6d6b60d2dc80419c69f226f04725cd",
+        "86e2638f540a20f2227aa48b756663643dad40a20093cb213b0d23a08329be0a",
     ("shallow", "kd", "2..3"):
-        "88ed5964a1ea0f2df7d2babfe48cdadb5698c0df55ca93492f7dad6e475668cc",
+        "757d2e0d7a1b3a58787018eca24503000c8448b7ca48906e9665402685343228",
     ("deep", "ce_only", "1..2"):
-        "5ff4e24592487ebe47cd26e9c0cd7ac91d769a56edfd76350fb3cad5dc5bd5e6",
+        "1fa6ae7bc62a4fe82e5fbc5afb67f73a14b4e80536823d0f959facf853282e94",
     ("deep", "ce_only", "2..3"):
-        "134b56fc42125073e8b28af53d66098cc7cf2e5c82c84adf346fcb45f1f42049",
+        "f8f915bc93bb9561d702fe3b939a29b327e06f5342152466fa2c667eeb196893",
     ("deep", "ref", "1..2"):
-        "b7281255b9484ceb6d2543bca140286578de33eb5683d166d19415fdae6f904d",
+        "cab098e2078af667a214365679b149e7b84f0b08dc6071f313ffbecfc648f999",
     ("deep", "ref", "2..3"):
-        "31f95906916824553c5dc98c8c297de69fff063886301ec9f84ce4cbb8a869e5",
+        "06eb539c01e97254c05326b74368e89c41ba10765391d60be224c206f9148838",
     ("deep", "kd", "1..2"):
-        "9f5fb2e7d505cc41a32e03d0a46e7d5496d09baa36bf41ea4e1d86ac3a3780dc",
+        "5a0ca58179af2df7fc9a2868cb244b39992027f459a294d5b4dfb8e2b83ae62b",
     ("deep", "kd", "2..3"):
-        "423540d33bf181c42d0e543cbbe0fd47adb51f498b58750a1f136c8e442defc8",
+        "58d530899532f27fb3a41378cdee80af853b5e0c94c746ff3c6e53ebad002046",
     ("progressive", "ce_only", "1..2"):
-        "b55ab304eff742972374210da7f18ba8eeff7a53fc3b7c0a6a67cc0f8baee04f",
+        "27b4a1ad39fe048baed39754b8be1dc88f483bcab8c18c3ac27670b8a0227c49",
     ("progressive", "ce_only", "2..3"):
-        "6661bc06e23e1f76da1a676110a4267bba29ef5c804764d152765a7005403fb3",
+        "3ebd5b1ea482471ebd17f8f11e900f98a8bfb31d9b7ccab4def474f1dc2c71fa",
     ("progressive", "ref", "1..2"):
-        "dfd8188498f181c16e1da8b88eef5a2704b83795a3dc1b62513c9d3204f9019e",
+        "f7431169b7e1d09f38c3bedbba96320f84ae7208f647b2b4aefc81e052442fe3",
     ("progressive", "ref", "2..3"):
-        "802b26a2a39f08300a5fcc295cdb7e5a2273774b7c213e1a6b71532f922be906",
+        "7821cb3047ab4bc0fe025add1a17ddfaa75a9cb04c318ca600dd7ce23c683942",
     ("progressive", "kd", "1..2"):
-        "d83924fa0db0d663833d8c601d6afe4803ed68dbe0dd23c404209b0080927fb9",
+        "e522bcd95c57c339dae34823cee84a67a983895dc680640f09c18029d9147fe8",
     ("progressive", "kd", "2..3"):
-        "30cdc81a84ccc2a3fbf2e5c1052833c689ad5cac2e4e092962f16046778ae7eb",
+        "2e33ca724262305603048891246a0f6a2b07485faa7266efac351e891aa561a8",
 }
 
 # few_shot on 4 classes x 2 shots: 8 train images in minibatches of 7, and a
 # 24-image eval pool in chunks of 23.
 ONE_IMAGE_BATCH, ONE_IMAGE_CHUNK = 7, 23
-ONE_IMAGE = "2eac14505b096c361507dc00de9389a4ce6364a11a8af5386378cb971523f78c"
+ONE_IMAGE = "9e17e4ddf2fdbec147e94f94a7e19f8768c50401d3c471562346645b7b355d93"
 
 NONE_EVAL = "fd884d943491680e0c1108dd0cdd5c7357f6848076ef012a9df1b1d1129a9479"
 
